@@ -116,7 +116,7 @@ class CompileBenchResult:
 
     rows: List[CompileBenchRow] = field(default_factory=list)
     kind: str = "compile-time-bench"
-    #: Interpreter op-dispatch micro-benchmark (see :func:`bench_dispatch`).
+    #: Generated-source launch micro-benchmark (see :func:`bench_dispatch`).
     dispatch_micro: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -170,7 +170,7 @@ class CompileBenchResult:
         )
         if self.dispatch_micro:
             text += (
-                f"\ninterpreter dispatch micro ({self.dispatch_micro.get('program', '?')}):"
+                f"\nplan-source dispatch micro ({self.dispatch_micro.get('program', '?')}):"
                 f" {self.dispatch_micro.get('wall_s', 0.0) * 1e3:.2f} ms/launch best of"
                 f" {int(self.dispatch_micro.get('repeats', 0))}"
             )
@@ -287,14 +287,14 @@ def _measure_plan_serialization(
 
 
 def bench_dispatch(repeats: int = 3) -> Dict[str, object]:
-    """Micro-benchmark the plan interpreter's op-dispatch hot path.
+    """Micro-benchmark one launch of a plan's generated source.
 
     Launches the matmul workload — the most op-dense Figure 8 program (its
     inner product runs a ``for-nat`` body per tile element) — on the
-    vectorized engine with race detection off and a warm plan cache, so the
-    wall-clock concentrates on ``_run_ops`` dispatch, slot traffic, and the
-    arith table: exactly the code the pre-paired ``(op, handler)`` sequences
-    and :data:`~repro.descend.plan.execute._ARITH_FUNCS` optimize.
+    vectorized engine with race detection off and a warm plan-source cache,
+    so the wall-clock concentrates on the generated code's slot traffic and
+    runtime-helper calls plus the stock cost accounting.  The report keeps
+    the historical ``dispatch_micro`` field name.
     """
     import numpy as np
 
@@ -304,7 +304,7 @@ def bench_dispatch(repeats: int = 3) -> Dict[str, object]:
     program = PROGRAMS["matmul"]()
     compiled = compile_program(program)
     fun = compiled.gpu_function_names()[0]
-    compiled.device_plan(fun)  # warm: the timed region measures execution only
+    compiled.plan_source(fun)  # warm: the timed region measures execution only
     params = {p.name: p for p in program.fun(fun).params}
     m = k = n = 32  # matches the PROGRAMS matmul parameters
     best = float("inf")
@@ -338,7 +338,7 @@ def run_compile_bench(
             progress(f"compiling {name} (cold + cached, best of {repeats}) ...")
         result.rows.append(bench_program(name, repeats=repeats))
     if progress is not None:
-        progress("interpreter dispatch micro-benchmark ...")
+        progress("plan-source dispatch micro-benchmark ...")
     result.dispatch_micro = bench_dispatch(repeats=repeats)
     return result
 

@@ -18,6 +18,7 @@ parameter exists so the harness structure matches the paper's methodology.
 from __future__ import annotations
 
 import statistics
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -69,7 +70,9 @@ class BenchmarkRun:
 
 
 def _rng(workload_: Workload) -> np.random.Generator:
-    return np.random.default_rng(abs(hash(workload_.label)) % (2 ** 32))
+    # A stable digest, not hash(): str hashes are salted per process
+    # (PYTHONHASHSEED), which would draw different inputs in every run.
+    return np.random.default_rng(zlib.crc32(workload_.label.encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------

@@ -558,16 +558,11 @@ def plan_source_text(
     """The ``plan`` op's generated-Python text (the CLI's ``plan --jit``).
 
     Mirrors :func:`plan_text` with the ``lower.plan.codegen`` output in
-    place of the IR disassembly: functions codegen (or the plan lowering)
-    cannot compile render their fallback reason as a comment.  ``no_opt``
-    runs codegen over the raw (unoptimized) plan, bypassing the caches.
+    place of the IR disassembly: functions the plan lowering refuses render
+    their fallback reason as a comment.  ``no_opt`` runs codegen over the
+    raw (unoptimized) plan, bypassing the caches.
     """
-    from repro.descend.plan import (
-        CodegenUnsupported,
-        PlanUnsupported,
-        generate_plan_source,
-        lower_device_plan,
-    )
+    from repro.descend.plan import PlanUnsupported, generate_plan_source, lower_device_plan
 
     gpu_names = compiled.gpu_function_names()
     if fun:
@@ -583,7 +578,7 @@ def plan_source_text(
         if no_opt:
             try:
                 src, reason = generate_plan_source(lower_device_plan(compiled.program.fun(name))), None
-            except (PlanUnsupported, CodegenUnsupported) as exc:
+            except PlanUnsupported as exc:
                 src, reason = None, str(exc)
         else:
             src, reason = compiled.plan_source(name)

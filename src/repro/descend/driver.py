@@ -178,8 +178,8 @@ class CompileSession:
         #: Fallback plan cache for programs without a content key (unhashable
         #: ASTs): keyed by id(fun_def), the FunDef retained to pin the id.
         self._plans_by_id: Dict[int, Tuple[object, Tuple[Optional[object], Optional[str]]]] = {}
-        #: JIT plan sources (the ``lower.plan.codegen`` pass), same two-map
-        #: shape as the plans above.
+        #: Generated plan sources (the ``lower.plan.codegen`` pass), same
+        #: two-map shape as the plans above.
         self._plan_sources: Dict[
             Tuple[object, str], Tuple[Optional[object], Optional[str]]
         ] = {}
@@ -573,11 +573,12 @@ class CompileSession:
         is not ``None``.  The ``lower.plan.codegen`` pass compiles the
         optimized plan IR (resolved through :meth:`_device_plan_locked`, so
         a cached plan is reused) into a :class:`~repro.descend.plan.codegen.
-        PlanSource`; both successes and :class:`CodegenUnsupported` fallback
-        reasons persist as first-class ``plan-src`` artifacts, so a warm
-        store serves jit launches with zero codegen compute passes.
+        PlanSource`; codegen is total, so the source is missing exactly when
+        the lowering refused the function.  Both outcomes persist as
+        first-class ``plan-src`` artifacts, so a warm store serves
+        vectorized and jit launches with zero codegen compute passes.
         """
-        from repro.descend.plan import CodegenUnsupported, PlanSource, generate_plan_source
+        from repro.descend.plan import PlanSource, generate_plan_source
 
         start = time.perf_counter()
         if key is None:
@@ -641,10 +642,7 @@ class CompileSession:
         if plan is None:
             entry = (None, plan_reason)
         else:
-            try:
-                entry = (generate_plan_source(plan), None)
-            except CodegenUnsupported as exc:
-                entry = (None, str(exc))
+            entry = (generate_plan_source(plan), None)
         self.record(
             PassTiming(
                 unit,
@@ -792,11 +790,11 @@ class CompiledProgram:
         return DescendKernel(self.program, name, session=self._session(), compiled=self)
 
     def device_plan(self, name: str):
-        """The vectorized device plan for one GPU function (or its fallback reason)."""
+        """The device plan for one GPU function (or its fallback reason)."""
         return self._session().device_plan(self.program, name, self.cache_key(), self.unit)
 
     def plan_source(self, name: str):
-        """The JIT plan source for one GPU function (or its fallback reason)."""
+        """The generated plan source for one GPU function (or its fallback reason)."""
         return self._session().plan_source(self.program, name, self.cache_key(), self.unit)
 
     def run_host(

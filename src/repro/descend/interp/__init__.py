@@ -9,11 +9,11 @@
   for launching individual GPU functions from Python.
 
 The device-plan compiler that lowers GPU functions to batched numpy
-operations for the vectorized engine lives in :mod:`repro.descend.plan`
-(lower → optimize → execute over a serializable plan IR); its public names
-are re-exported here for convenience — ``execution_mode="vectorized"``
-selects it per launch, with automatic fallback to the reference
-interpreter for unsupported constructs.
+operations for the vectorized and jit engines lives in
+:mod:`repro.descend.plan` (lower → optimize → codegen over a serializable
+plan IR); its public names are re-exported here for convenience —
+``execution_mode="vectorized"`` or ``"jit"`` selects it per launch, with
+automatic fallback to the reference interpreter for unsupported constructs.
 """
 
 from repro.descend.interp.device import DescendKernel

@@ -371,18 +371,21 @@ class DescendKernel:
     resource annotation, so host code cannot accidentally launch with the
     wrong grid (the shared-assumption problem of Section 2.3).
 
-    Under ``execution_mode="vectorized"`` (selected per launch or inherited
-    from the device) the function body is lowered once into a
+    Under ``execution_mode="vectorized"`` or ``"jit"`` (selected per launch
+    or inherited from the device) the function body is lowered once into a
     :class:`~repro.descend.plan.ir.DevicePlan` — the serializable plan IR of
-    :mod:`repro.descend.plan` — and executed as batched numpy operations;
-    functions the plan compiler cannot lower fall back to this per-thread
-    reference interpreter automatically (:attr:`fallback_reason` records
-    why).
+    :mod:`repro.descend.plan` — and compiled to generated Python source
+    (:class:`~repro.descend.plan.codegen.PlanSource`) that runs as batched
+    numpy operations.  Both modes run the same generated source; they differ
+    only in cost and race accounting.  Functions the plan compiler cannot
+    lower fall back to this per-thread reference interpreter automatically
+    (:attr:`fallback_reason` records why).
 
-    Device plans are cached in a :class:`~repro.descend.driver.CompileSession`
-    keyed by content hash (and additionally memoized on the kernel handle),
-    so repeated launches — even from freshly constructed handles for the
-    same program — reuse one plan instead of re-lowering per launch.
+    Device plans and their generated sources are cached in a
+    :class:`~repro.descend.driver.CompileSession` keyed by content hash (and
+    the source is additionally memoized on the kernel handle), so repeated
+    launches — even from freshly constructed handles for the same program —
+    reuse one plan and one source instead of re-lowering per launch.
     """
 
     def __init__(
@@ -401,33 +404,20 @@ class DescendKernel:
         #: session whose plan cache this kernel uses (``None`` = the active one)
         self.session = session
         self._compiled = compiled
-        self._plan_entry: Optional[Tuple[Optional[object], Optional[str]]] = None
         self._plan_source_entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-        #: why the last vectorized/jit launch fell back to a slower engine
-        #: (``None`` when it did not).
+        #: why the last vectorized/jit launch fell back to the reference
+        #: engine (``None`` when it did not).
         self.fallback_reason: Optional[str] = None
-
-    def _session_and_key(self):
-        from repro.descend.driver import active_session
-
-        session = self.session if self.session is not None else active_session()
-        if self._compiled is not None:
-            return session, self._compiled.cache_key(), self._compiled.unit
-        return session, None, self.fun_def.name
-
-    def _resolve_plan(self) -> Tuple[Optional[object], Optional[str]]:
-        """The cached ``(plan, fallback_reason)`` pair for this function."""
-        if self._plan_entry is None:
-            session, key, unit = self._session_and_key()
-            self._plan_entry = session.device_plan(
-                self.program, self.fun_def.name, key=key, unit=unit
-            )
-        return self._plan_entry
 
     def _resolve_plan_source(self) -> Tuple[Optional[object], Optional[str]]:
         """The cached ``(plan_source, fallback_reason)`` pair for this function."""
         if self._plan_source_entry is None:
-            session, key, unit = self._session_and_key()
+            from repro.descend.driver import active_session
+
+            session = self.session if self.session is not None else active_session()
+            key, unit = None, self.fun_def.name
+            if self._compiled is not None:
+                key, unit = self._compiled.cache_key(), self._compiled.unit
             self._plan_source_entry = session.plan_source(
                 self.program, self.fun_def.name, key=key, unit=unit
             )
@@ -476,32 +466,16 @@ class DescendKernel:
 
         mode = execution_mode if execution_mode is not None else device.execution_mode
         self.fallback_reason = None
-        if mode == "jit":
-            from repro.gpusim.engine import jit_impl
+        if mode in ("vectorized", "jit"):
+            from repro.gpusim.engine import jit_impl, vectorized_impl
 
-            plan, reason = self._resolve_plan()
-            if plan is None:
-                # No plan at all: nothing for the vectorized engine either.
+            plan_src, reason = self._resolve_plan_source()
+            if plan_src is None:
                 self.fallback_reason = reason
                 mode = "reference"
             else:
-                plan_src, codegen_reason = self._resolve_plan_source()
-                if plan_src is None:
-                    # The plan lowered but codegen refused it: the plan
-                    # interpreter still runs it on the vectorized engine.
-                    self.fallback_reason = codegen_reason
-                    mode = "vectorized"
-                else:
-                    jit_impl(kernel)(plan_src.entry(nat_env, arg_values))
-        if mode == "vectorized":
-            from repro.gpusim.engine import vectorized_impl
-
-            plan, reason = self._resolve_plan()
-            if plan is None:
-                self.fallback_reason = reason
-                mode = "reference"
-            else:
-                vectorized_impl(kernel)(plan.entry(nat_env, arg_values))
+                register = jit_impl if mode == "jit" else vectorized_impl
+                register(kernel)(plan_src.entry(nat_env, arg_values))
 
         return device.launch(
             kernel,

@@ -1,27 +1,28 @@
 """The ``lower.plan.codegen`` pass: plan IR → straight-line Python source.
 
-The plan interpreter (:mod:`repro.descend.plan.execute`) pays Python
-dispatch, slot loads/stores, and mask bookkeeping for every op of every
-launch.  This pass removes all of it *ahead of time*: it walks the optimized
-IR once and emits a real Python function in which
+Generated source is the only batched executor of a device plan: both the
+``vectorized`` and the ``jit`` engine run it, and they differ only in how
+they account for cost and races.  The pass walks the optimized IR once and
+emits a real Python function in which
 
 * the slot table becomes local variables (``s0``, ``s1``, …),
 * structured ``for-nat``/``for-each``/``if``/``sched``/``split`` ops become
-  real ``for``/``if`` statements over masked numpy expressions,
-* the same ``ctx.arith`` / access-recording hooks are inlined at every
+  real ``for``/``if`` statements over masked numpy expressions, each body
+  emitted exactly once, so the source grows linearly with the plan,
+* the ``ctx.arith`` / access-recording hooks are inlined at every
   arithmetic and memory op, so cycle and race accounting stays **exact** —
-  the interpreter remains the parity oracle, and the differential tests
-  assert byte-identical cycle counts and race reports.
+  the per-thread reference interpreter is the parity oracle, and the
+  differential tests assert byte-identical cycle counts and race reports.
+
+The pass is total over every plan the lowering accepts; the lowering bounds
+structured-op nesting (:data:`~repro.descend.plan.lower.MAX_NESTING`) so the
+emitted function stays inside CPython's static block and indentation limits.
 
 The emitted source is plain data: :class:`PlanSource` pickles into the
 artifact store as a first-class ``plan-src`` artifact beside the plan IR, so
 warm sessions and sweep workers load pre-built code with zero codegen
 passes.  ``compile()`` of the source happens at most once per process per
 distinct source text (:func:`_materialize`).
-
-Anything the emitter cannot express raises :exc:`CodegenUnsupported`;
-``DescendKernel.launch`` degrades such launches to the interpreter (and
-records ``fallback_reason``), never failing the launch.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ from repro.descend.plan.ir import (
     SyncOp,
 )
 
-#: Hard ceiling on emitted source lines.  ``if``/``split`` arms are emitted
-#: once per (array vs scalar condition) path, so pathologically deep nested
-#: divergence can grow the source exponentially; past this cap the plan
-#: simply keeps using the interpreter.
-MAX_SOURCE_LINES = 20_000
-
-
-class CodegenUnsupported(Exception):
-    """The plan contains a construct the source emitter cannot compile."""
-
-
 @dataclass(frozen=True)
 class PlanSource:
     """The generated Python source of one device plan (a store artifact).
@@ -82,23 +72,23 @@ class PlanSource:
     consts: Tuple[Any, ...]
 
     def entry(self, nat_env, args):
-        """A jit kernel closure over one launch's arguments.
+        """A kernel closure over one launch's arguments.
 
-        Mirrors :meth:`DevicePlan.entry`; the returned callable is what the
-        jit engine executes against a grid-wide ``VecCtx``.
+        The returned callable is what the ``vectorized`` and ``jit`` engines
+        execute against a grid-wide ``VecCtx``.
         """
         # Imported here (not at module top): the runtime pulls in the
-        # interpreter machinery, which itself imports this package.
+        # interpreter package, which itself imports this package.
         from repro.descend.plan import runtime as _rt
 
         fn = _materialize(self)
         consts = self.consts
 
-        def jit_kernel(ctx) -> None:
+        def plan_kernel(ctx) -> None:
             fn(ctx, args, nat_env, consts, _rt)
 
-        jit_kernel.__name__ = f"{self.fun_name}_jit"
-        return jit_kernel
+        plan_kernel.__name__ = f"{self.fun_name}_plan"
+        return plan_kernel
 
 
 #: Per-process cache of compiled entry functions, keyed by source text: the
@@ -139,11 +129,6 @@ class _Emitter:
     _tmp: int = 0
 
     def emit(self, indent: int, text: str) -> None:
-        if len(self.lines) >= MAX_SOURCE_LINES:
-            raise CodegenUnsupported(
-                f"generated source exceeds {MAX_SOURCE_LINES} lines "
-                "(deeply nested divergent control flow)"
-            )
         self.lines.append("    " * indent + text)
 
     def const(self, value: Any) -> str:
@@ -172,12 +157,12 @@ def _inline_literal(value: Any) -> str:
 
 
 def _binop(op: str, lhs: str, rhs: str) -> str:
-    """An arithmetic expression matching the oracle's ``_apply_arith``."""
+    """An arithmetic expression matching the reference interpreter's."""
     if op == "/":
         return f"rt.div({lhs}, {rhs})"
     if op in ("+", "-", "*", "%"):
         return f"({lhs} {op} {rhs})"
-    raise CodegenUnsupported(f"no code generator for arithmetic operator {op!r}")
+    raise ValueError(f"no code generator for arithmetic operator {op!r}")
 
 
 _COMPARE_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -245,7 +230,7 @@ def _emit_op(em: _Emitter, op, indent: int) -> None:  # noqa: PLR0915, PLR0912
         em.emit(indent, f"s{op.out} = {expr}")
     elif isinstance(op, CompareOp):
         if op.op not in _COMPARE_OPS:
-            raise CodegenUnsupported(f"no code generator for comparison {op.op!r}")
+            raise ValueError(f"no code generator for comparison {op.op!r}")
         em.emit(indent, f"s{op.out} = (s{op.lhs} {op.op} s{op.rhs})")
     elif isinstance(op, LogicOp):
         helper = "rt.logic_and" if op.op == "&&" else "rt.logic_or"
@@ -306,38 +291,44 @@ def _emit_op(em: _Emitter, op, indent: int) -> None:  # noqa: PLR0915, PLR0912
         )
         em.emit(indent, "ctx.sync()")
     else:
-        raise CodegenUnsupported(f"no code generator for op {type(op).__name__}")
+        raise TypeError(f"no code generator for op {type(op).__name__}")
 
 
 def _emit_if(em: _Emitter, op: IfOp, indent: int) -> None:
-    """Branch on a slot: masked dual-arm execution for array conditions,
-    a plain Python ``if`` for uniform scalar ones (both arms are emitted
-    once per path — the source-size cap bounds the duplication)."""
+    """Branch on a slot, emitting each arm once.
+
+    A run flag and a mask per arm are computed before either arm runs: an
+    array condition narrows ``_mask`` to the lanes taking the arm (and skips
+    an arm no active lane takes), a uniform scalar condition keeps ``_mask``
+    and runs exactly one arm.
+    """
     n = em.fresh()
-    em.emit(indent, f"_c{n} = s{op.cond}")
-    em.emit(indent, f"if isinstance(_c{n}, rt.ndarray):")
-    em.emit(indent + 1, f"_om{n} = _mask")
-    em.emit(indent + 1, f"_tm{n} = _c{n} if _om{n} is None else (_om{n} & _c{n})")
-    em.emit(indent + 1, f"if _tm{n}.any():")
-    em.emit(indent + 2, f"_mask = _tm{n}")
-    em.emit(indent + 2, "try:")
-    _emit_ops(em, op.then_ops, indent + 3)
-    em.emit(indent + 2, "finally:")
-    em.emit(indent + 3, f"_mask = _om{n}")
-    if op.else_ops is not None:
-        em.emit(indent + 1, f"_em{n} = ~_c{n} if _om{n} is None else (_om{n} & ~_c{n})")
-        em.emit(indent + 1, f"if _em{n}.any():")
-        em.emit(indent + 2, f"_mask = _em{n}")
-        em.emit(indent + 2, "try:")
-        _emit_ops(em, op.else_ops, indent + 3)
-        em.emit(indent + 2, "finally:")
-        em.emit(indent + 3, f"_mask = _om{n}")
+    c = f"s{op.cond}"
+    has_else = op.else_ops is not None
+    em.emit(indent, f"_om{n} = _mask")
+    em.emit(indent, f"if isinstance({c}, rt.ndarray):")
+    em.emit(indent + 1, f"_tm{n} = {c} if _om{n} is None else (_om{n} & {c})")
+    em.emit(indent + 1, f"_tr{n} = _tm{n}.any()")
+    if has_else:
+        em.emit(indent + 1, f"_em{n} = ~{c} if _om{n} is None else (_om{n} & ~{c})")
+        em.emit(indent + 1, f"_er{n} = _em{n}.any()")
     em.emit(indent, "else:")
-    em.emit(indent + 1, f"if _c{n}:")
-    _emit_ops(em, op.then_ops, indent + 2)
-    if op.else_ops is not None:
-        em.emit(indent + 1, "else:")
-        _emit_ops(em, op.else_ops, indent + 2)
+    em.emit(indent + 1, f"_tm{n} = _em{n} = _om{n}" if has_else else f"_tm{n} = _om{n}")
+    em.emit(indent + 1, f"_tr{n} = bool({c})")
+    if has_else:
+        em.emit(indent + 1, f"_er{n} = not _tr{n}")
+    _emit_masked_arm(em, f"_tr{n}", f"_tm{n}", f"_om{n}", op.then_ops, indent)
+    if has_else:
+        _emit_masked_arm(em, f"_er{n}", f"_em{n}", f"_om{n}", op.else_ops, indent)
+
+
+def _emit_masked_arm(em: _Emitter, run: str, mask: str, outer: str, ops, indent: int) -> None:
+    em.emit(indent, f"if {run}:")
+    em.emit(indent + 1, f"_mask = {mask}")
+    em.emit(indent + 1, "try:")
+    _emit_ops(em, ops, indent + 2)
+    em.emit(indent + 1, "finally:")
+    em.emit(indent + 2, f"_mask = {outer}")
 
 
 def _emit_split(em: _Emitter, op: SplitOp, indent: int) -> None:
@@ -374,8 +365,7 @@ def generate_plan_source(plan: DevicePlan) -> PlanSource:
     """Compile one optimized device plan to a :class:`PlanSource`.
 
     Deterministic: the same plan always yields the same source text and
-    constant pool (golden-source tests rely on this).  Raises
-    :exc:`CodegenUnsupported` for constructs the emitter cannot express.
+    constant pool (golden-source tests rely on this).
     """
     em = _Emitter()
     entry_name = _entry_name(plan.fun_name)

@@ -26,9 +26,9 @@ The value model mirrors the closure compiler this package replaced:
   tuples and the executor runs them under boolean lane masks, exactly like
   the divergence handling of the vectorized engine.
 
-Semantics (and cycle/race parity) live in
-:mod:`repro.descend.plan.execute`; this module is deliberately *just* the
-data definitions plus the disassembler.
+Semantics (and cycle/race parity) live in the source the
+:mod:`repro.descend.plan.codegen` pass generates; this module is
+deliberately *just* the data definitions plus the disassembler.
 """
 
 from __future__ import annotations
@@ -328,21 +328,6 @@ class DevicePlan:
     @property
     def n_slots(self) -> int:
         return len(self.slot_names)
-
-    # -- execution (delegates to the interpreter stage) ------------------------
-    def execute(self, ctx, nat_env, args) -> None:
-        from repro.descend.plan.execute import execute_plan
-
-        execute_plan(self, ctx, nat_env, args)
-
-    def entry(self, nat_env, args):
-        """A vectorized kernel closure over one launch's arguments."""
-
-        def vec_kernel(ctx) -> None:
-            self.execute(ctx, nat_env, args)
-
-        vec_kernel.__name__ = f"{self.fun_name}_plan"
-        return vec_kernel
 
 
 # ---------------------------------------------------------------------------

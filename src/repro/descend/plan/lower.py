@@ -1,7 +1,7 @@
 """Lowering type-checked GPU functions to the plan IR.
 
 This is stage one of the device-plan pipeline (the other two are
-:mod:`repro.descend.plan.optimize` and :mod:`repro.descend.plan.execute`).
+:mod:`repro.descend.plan.optimize` and :mod:`repro.descend.plan.codegen`).
 It walks the AST once and emits a flat tuple of frozen dataclass ops over an
 explicit slot table:
 
@@ -15,9 +15,11 @@ explicit slot table:
   sequence (in chain order — the access order the race detector sees must
   match the reference interpreter exactly);
 * constructs whose batched semantics would diverge from the reference
-  engine (``sync`` nested under ``split`` or a per-thread ``if``) raise
+  engine (``sync`` nested under ``split`` or a per-thread ``if``), and
+  structured statements nested deeper than :data:`MAX_NESTING`, raise
   :class:`PlanUnsupported`, and the kernel launcher falls back to the
-  per-thread reference interpreter for that function.
+  per-thread reference interpreter for that function.  Every plan this
+  stage returns is one the codegen stage compiles.
 
 The lowering performs no optimization and embeds no callables: its output
 pickles directly into the artifact store.
@@ -64,6 +66,13 @@ from repro.errors import DescendError
 _ARITH_OPS = ("+", "-", "*", "/", "%")
 _COMPARE_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
+#: Deepest nesting of structured ops (``if``, ``for``, ``sched``, ``split``)
+#: a plan may have.  Each level costs the generated source at most one
+#: statically nested block and two indentation levels, so this bound keeps
+#: it inside CPython's limits (20 nested blocks, about 100 indentation
+#: levels).  The deepest Figure 8 program, matmul, nests 6.
+MAX_NESTING = 16
+
 
 class PlanUnsupported(DescendError):
     """A construct the device-plan compiler cannot lower; callers fall back."""
@@ -78,6 +87,7 @@ class _Lowerer:
         self.scope: Dict[str, List[int]] = {}
         self.alloc_counter = 0
         self.ops: List[PlanOp] = []
+        self.depth = 0
 
     # -- slots & scoping -------------------------------------------------------
     def new_slot(self, name: str = "") -> int:
@@ -105,12 +115,18 @@ class _Lowerer:
 
     def nested(self, lower) -> Tuple[PlanOp, ...]:
         """Lower into a fresh op sequence (the body of a structured op)."""
+        if self.depth == MAX_NESTING:
+            raise PlanUnsupported(
+                f"structured statements nest deeper than {MAX_NESTING} levels"
+            )
         saved, self.ops = self.ops, []
+        self.depth += 1
         try:
             lower()
             return tuple(self.ops)
         finally:
             self.ops = saved
+            self.depth -= 1
 
     # -- places ----------------------------------------------------------------
     def lower_place(self, place: PlaceExpr) -> PlaceIR:
@@ -299,13 +315,13 @@ class _Lowerer:
         params = tuple(p.name for p in self.fun_def.params)
         for name in params:
             self.bind(name, self.new_slot(name))
-        body = self.nested(lambda: self.lower_stmt(self.fun_def.body))
+        self.lower_stmt(self.fun_def.body)
         return DevicePlan(
             fun_name=self.fun_def.name,
             level=level,
             params=params,
             slot_names=tuple(self.slot_names),
-            body=body,
+            body=tuple(self.ops),
         )
 
 
@@ -313,7 +329,8 @@ def lower_device_plan(fun_def: T.FunDef) -> DevicePlan:
     """Lower one GPU Descend function to (unoptimized) plan IR.
 
     Raises :class:`PlanUnsupported` when the function uses a construct whose
-    batched execution could diverge from the reference semantics.
+    batched execution could diverge from the reference semantics, or nests
+    structured statements deeper than :data:`MAX_NESTING`.
     """
     return _Lowerer(fun_def).lower()
 

@@ -12,7 +12,7 @@ Three simple, parity-preserving rewrites, run by the compiler driver as the
 
 ``fuse-arith``
     Fuse an arith op into its single arith consumer within the same op
-    sequence (one interpreter dispatch and one batched ``ctx.arith(2)``
+    sequence (one generated statement and one batched ``ctx.arith(2)``
     instead of two).  Arithmetic cost is a pure per-lane counter under the
     current mask — and the mask is constant within a sequence — so the fused
     accounting is exactly the unfused accounting.

@@ -1,25 +1,22 @@
-"""Runtime support library for JIT-compiled device plans.
+"""Runtime support library for generated device-plan source.
 
 The :mod:`repro.descend.plan.codegen` pass emits a straight-line Python
 source function per plan; everything in that generated source that is not a
 plain local-variable assignment or a masked numpy expression calls back into
-this module (the ``rt`` parameter of the generated function).
+this module (the ``rt`` parameter of the generated function).  Generated
+source is the only batched executor of a device plan: the ``vectorized`` and
+``jit`` engines both run it, and the per-thread reference interpreter
+(:mod:`repro.descend.interp.device`) is the cycle/race parity oracle.
 
-The helpers here mirror :mod:`repro.descend.plan.execute` — the op-at-a-time
-interpreter that stays behind as the cycle/race **parity oracle** — down to
-the exact error strings.  The interpreter module is deliberately left
-untouched; where a helper is pure data plumbing (the :class:`ElementSlot`
-marker, the memoized view resolution, integer-index coercion) it is imported
-from there so both engines share one definition and one cache.
-
-Masking discipline is identical to the interpreter: every load/store/arith
-forwards the generated function's current ``_mask`` local as ``where=``, so
-inactive lanes do not advance slot counters, record no accesses, and count
-no arithmetic.
+Masking discipline: every load/store/arith forwards the generated
+function's current ``_mask`` local as ``where=``, so inactive lanes do not
+advance slot counters, record no accesses, and count no arithmetic —
+exactly like threads that skip a branch in the reference engine.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -28,12 +25,6 @@ from repro.descend.ast.dims import DimName
 from repro.descend.ast.exec_level import GpuGridLevel
 from repro.descend.interp.values import MemValue, numpy_dtype, static_shape
 from repro.descend.nat import Nat, evaluate_nat
-from repro.descend.plan.execute import (
-    ElementSlot,
-    _as_int_index,
-    _is_integer,
-    _resolved_view,
-)
 from repro.descend.plan.ir import (
     AllocOp,
     NatIdxStep,
@@ -45,6 +36,7 @@ from repro.descend.plan.ir import (
     ViewStep,
 )
 from repro.descend.views.indexing import BoundView, LogicalArray, LogicalPair
+from repro.descend.views.registry import resolve_view
 from repro.errors import DescendRuntimeError
 
 #: Re-exported so generated code can write ``isinstance(x, rt.ndarray)``.
@@ -52,6 +44,40 @@ ndarray = np.ndarray
 
 #: Sentinel: the evaluated place is the scalar root local itself.
 _LOCAL = object()
+
+
+class ElementSlot:
+    """A batch of fully indexed elements: one offset per thread of the grid."""
+
+    __slots__ = ("buffer", "offsets")
+
+    def __init__(self, buffer, offsets) -> None:
+        self.buffer = buffer
+        self.offsets = offsets
+
+
+@lru_cache(maxsize=512)
+def _resolved_view(ref):
+    """Registry resolution of a view reference, memoized across launches.
+
+    The IR stores the syntactic :class:`~repro.descend.ast.views.ViewRef`
+    (plain data, serializable); the registry lookup happens here, once per
+    distinct reference per process.
+    """
+    return resolve_view(ref)
+
+
+def _as_int_index(value):
+    """Mirror the reference interpreter's ``int(...)`` on expression indices."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.int64, copy=False)
+    return int(value)
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iu"
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +104,8 @@ def natf(env: Dict[str, int]) -> Callable[[Nat], int]:
 def init_windows(level: GpuGridLevel, env: Dict[str, int]):
     """The ``sched``/``split`` window bookkeeping of one launch.
 
-    Returns ``(block_window, thread_window, pending_blocks, pending_threads)``
-    exactly as ``ExecState.__init__`` builds them.
+    Returns ``(block_window, thread_window, pending_blocks, pending_threads)``:
+    every dimension starts unscheduled with its full ``[0, size)`` window.
     """
     block_window = {
         name: [0, int(evaluate_nat(size, env))] for name, size in level.blocks.entries
@@ -126,7 +152,7 @@ def logic_not(value):
 
 
 def _eval_place(place: PlaceIR, root_value, idxs: Tuple, nat_value, coords):
-    """Mirror of the interpreter's ``_eval_place`` over pre-read slot values.
+    """Resolve a place chain over pre-read slot values.
 
     ``idxs`` holds the values of the place's ``SlotIdxStep`` slots in chain
     order (the generated call site reads them from its locals); ``coords`` is
@@ -286,7 +312,7 @@ def split_enter(op: SplitOp, block_window, thread_window, pending_blocks, nat_va
 
     Returns ``(window, lo, hi, pos, first_cond)``; the generated code
     narrows ``window[op.dim]`` around each arm and restores it, exactly like
-    the interpreter's ``_run_split``.
+    the reference interpreter's ``_exec_split``.
     """
     over_blocks = op.dim in pending_blocks
     window = block_window if over_blocks else thread_window

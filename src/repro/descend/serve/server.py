@@ -86,7 +86,8 @@ class CompileServer:
         self._pending = 0
         self._inflight: Dict[str, asyncio.Task] = {}
         self._tasks: Set[asyncio.Task] = set()
-        self._clients: Set[asyncio.StreamWriter] = set()
+        #: Each open connection's writer and its :meth:`_on_client` task.
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._stopping = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor = ThreadPoolExecutor(
@@ -180,8 +181,14 @@ class CompileServer:
                 store_server.close()
                 await store_server.wait_closed()
             await self._drain()
+            handlers = list(self._clients.values())
             for writer in list(self._clients):
                 self._close_writer(writer)
+            # A closed connection ends its handler's pending read with EOF;
+            # let the handlers finish rather than leave them for asyncio.run
+            # to cancel (which logs a traceback per idle connection).
+            if handlers:
+                await asyncio.wait(handlers, timeout=self.config.drain_timeout_s)
             self._executor.shutdown(wait=False)
             with contextlib.suppress(OSError):
                 os.unlink(path)
@@ -219,7 +226,7 @@ class CompileServer:
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._clients.add(writer)
+        self._clients[writer] = asyncio.current_task()
         try:
             while not self._stopping.is_set():
                 try:
@@ -263,7 +270,7 @@ class CompileServer:
                 # ordered); concurrency comes from multiple connections.
                 await task
         finally:
-            self._clients.discard(writer)
+            self._clients.pop(writer, None)
             self._close_writer(writer)
 
     async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter) -> None:

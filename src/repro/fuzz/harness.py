@@ -9,15 +9,16 @@ Properties, numbered the way the reports name them:
   accept/reject, the error code, and the *bytes* of the rendered diagnostic.
 * ``diagnostic-cache-stability`` — within one session, the cached verdict
   (second compile) renders byte-identically to the cold one.
-* ``execution-mode-honored`` — when a plan (and jit source) exist, asking
-  for an engine runs that engine; no silent fallback.
+* ``execution-mode-honored`` — when a plan (and so its generated source)
+  exists, asking for an engine runs that engine; no silent fallback.
 * ``engine-parity`` — reference / vectorized / jit agree on cycles,
   barriers, race reports, and every output buffer.
 * ``well-typed-race-free`` — the paper's theorem, checked mechanically: a
   program the type checker accepts produces an *empty* race report on every
   engine.
-* ``raw-vs-optimized-plan`` — executing the raw (unoptimized) plan and the
-  optimized plan gives identical cycles, barriers, and buffers.
+* ``raw-vs-optimized-plan`` — the generated sources of the raw
+  (unoptimized) plan and of the optimized plan give identical cycles,
+  barriers, and buffers.
 
 :func:`check_spec` runs all of them on one generated spec;
 :func:`check_source` runs the source-level subset (everything except the
@@ -180,7 +181,7 @@ def _race_key(report) -> tuple:
 
 def _check_execution(compiled, index: int, result: CaseResult) -> None:
     """Engine parity, race freedom, and raw-vs-optimized plan agreement."""
-    from repro.descend.plan import PlanUnsupported, lower_device_plan
+    from repro.descend.plan import generate_plan_source, lower_device_plan
 
     for fun_def in compiled.program.gpu_functions():
         name = fun_def.name
@@ -197,11 +198,7 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
             args = _case_args(fun_def, device, index)
             kernel = compiled.kernel(name)
             launch = kernel.launch(device, args, detect_races=True, execution_mode=engine)
-            expect_honored = (
-                engine == "reference"
-                or (engine == "vectorized" and plan is not None)
-                or (engine == "jit" and plan_src is not None)
-            )
+            expect_honored = engine == "reference" or plan_src is not None
             if expect_honored and launch.execution_mode != engine:
                 result.violations.append(
                     Violation(
@@ -248,44 +245,42 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
                         )
                     )
 
-        # raw vs optimized plan: inject each into a kernel handle and compare
+        # raw vs optimized plan: inject each one's generated source into a
+        # kernel handle and compare (the optimized plan lowered, so the raw
+        # one does too)
         if plan is not None:
-            try:
-                raw = lower_device_plan(fun_def)
-            except PlanUnsupported:
-                raw = None
-            if raw is not None:
-                injected = {}
-                for label, injected_plan in (("raw", raw), ("optimized", plan)):
-                    device = GpuDevice()
-                    args = _case_args(fun_def, device, index)
-                    kernel = DescendKernel(compiled.program, name)
-                    kernel._plan_entry = (injected_plan, None)
-                    launch = kernel.launch(
-                        device, args, detect_races=True, execution_mode="vectorized"
+            raw = lower_device_plan(fun_def)
+            injected = {}
+            for label, injected_plan in (("raw", raw), ("optimized", plan)):
+                device = GpuDevice()
+                args = _case_args(fun_def, device, index)
+                kernel = DescendKernel(compiled.program, name)
+                kernel._plan_source_entry = (generate_plan_source(injected_plan), None)
+                launch = kernel.launch(
+                    device, args, detect_races=True, execution_mode="vectorized"
+                )
+                injected[label] = (
+                    launch.cycles,
+                    launch.barriers,
+                    _buffers(device, args),
+                )
+            raw_run, opt_run = injected["raw"], injected["optimized"]
+            if raw_run[0] != opt_run[0] or raw_run[1] != opt_run[1]:
+                result.violations.append(
+                    Violation(
+                        "raw-vs-optimized-plan",
+                        f"{name}: cost ({raw_run[0]}, {raw_run[1]}) raw vs "
+                        f"({opt_run[0]}, {opt_run[1]}) optimized",
                     )
-                    injected[label] = (
-                        launch.cycles,
-                        launch.barriers,
-                        _buffers(device, args),
-                    )
-                raw_run, opt_run = injected["raw"], injected["optimized"]
-                if raw_run[0] != opt_run[0] or raw_run[1] != opt_run[1]:
+                )
+            for buf, values in raw_run[2].items():
+                if not np.array_equal(opt_run[2][buf], values):
                     result.violations.append(
                         Violation(
                             "raw-vs-optimized-plan",
-                            f"{name}: cost ({raw_run[0]}, {raw_run[1]}) raw vs "
-                            f"({opt_run[0]}, {opt_run[1]}) optimized",
+                            f"{name}: buffer `{buf}` differs raw vs optimized",
                         )
                     )
-                for buf, values in raw_run[2].items():
-                    if not np.array_equal(opt_run[2][buf], values):
-                        result.violations.append(
-                            Violation(
-                                "raw-vs-optimized-plan",
-                                f"{name}: buffer `{buf}` differs raw vs optimized",
-                            )
-                        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ This engine runs plan-JIT kernels (straight-line Python emitted by
 the recording surface is identical, so cycle counts and race verdicts are
 identical by construction.
 
-What makes it faster than ``vectorized`` is not only the generated code: on
-the heavy bench rows 75–95 % of the vectorized wall-clock is the
-*end-of-launch analysis* (``np.unique`` grouping over every recorded access
-in :meth:`CostModel._batched_global_transactions` /
+For Descend programs the ``vectorized`` engine runs the same generated code,
+so what makes this engine faster is its accounting: on the heavy bench rows
+most of the vectorized wall-clock is the *end-of-launch analysis*
+(``np.unique`` grouping over every recorded access in
+:meth:`CostModel._batched_global_transactions` /
 :meth:`RaceDetector._check_batches`).  The jit engine therefore substitutes
 two parity-exact accounting implementations via the engine factory hooks
 (:meth:`ExecutionEngine.make_cost` / :meth:`make_races`):

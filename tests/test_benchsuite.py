@@ -3,7 +3,12 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.benchsuite import BENCHMARKS, SIZES, run_benchmark_pair, workload
@@ -80,6 +85,41 @@ class TestRunner:
         assert vectorized.descend.cycles == reference.descend.cycles
         assert vectorized.cuda.correct and vectorized.descend.correct
         assert vectorized.relative_runtime == pytest.approx(reference.relative_runtime)
+
+    def test_workload_inputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Every Figure 8 workload plus the histogram and stencil ones, drawn
+        # in two processes whose str hashes are salted differently.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.benchsuite.enginebench import DESCEND_BENCHMARKS\n"
+            "from repro.benchsuite.runner import _reference_and_data\n"
+            "from repro.benchsuite.workloads import SIZES, workload\n"
+            "arrays = {}\n"
+            "for name in DESCEND_BENCHMARKS:\n"
+            "    for size in SIZES:\n"
+            "        data, _ = _reference_and_data(workload(name, size, scale=1))\n"
+            "        for i, array in enumerate(data if isinstance(data, tuple) else (data,)):\n"
+            "            arrays[f'{name}-{size}-{i}'] = array\n"
+            "np.savez(sys.argv[1], **arrays)\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        drawn = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+            path = tmp_path / f"inputs-{hash_seed}.npz"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            with np.load(path) as arrays:
+                drawn.append({key: arrays[key] for key in arrays.files})
+        assert len(drawn[0]) == 6 * len(SIZES) + 3  # matmul draws two arrays
+        assert drawn[0].keys() == drawn[1].keys()
+        for key, array in drawn[0].items():
+            assert np.array_equal(array, drawn[1][key]), key
 
     def test_scaled_pair_runs_bigger_footprint(self):
         base = run_benchmark_pair("reduce", "small", engine="vectorized")

@@ -1,4 +1,4 @@
-"""Tests for the device-plan IR subsystem (lower → optimize → execute).
+"""Tests for the device-plan IR subsystem (lower → optimize → codegen).
 
 Covers the tentpole guarantees of `repro.descend.plan`:
 
@@ -23,14 +23,18 @@ from repro.benchsuite.compilebench import PROGRAMS
 from repro.descend.builder import (
     F64,
     GPU_GLOBAL,
+    add,
     array,
     assign,
+    block,
     body,
     dim_x,
     fun,
     gpu_grid_spec,
+    if_,
     let,
     lit_f64,
+    lt,
     mul,
     param,
     program,
@@ -42,7 +46,6 @@ from repro.descend.builder import (
 from repro.descend.interp import DescendKernel
 from repro.descend.nat import NatConst
 from repro.descend.plan import (
-    CodegenUnsupported,
     DevicePlan,
     PlanUnsupported,
     compile_device_plan,
@@ -51,7 +54,8 @@ from repro.descend.plan import (
     lower_device_plan,
     optimize_plan,
 )
-from repro.descend.plan.ir import ConstOp, FusedArithOp, IfOp
+from repro.descend.plan.ir import ConstOp, FusedArithOp
+from repro.descend.plan.lower import MAX_NESTING
 from repro.descend_programs import vector
 from repro.gpusim import GpuDevice
 
@@ -158,8 +162,8 @@ class TestSerialization:
         vec_device = GpuDevice(execution_mode="vectorized")
         vec_buf = vec_device.to_device(data)
         kernel = DescendKernel(prog, "scale_vec")
-        # Inject the deserialized plan, exactly as a warm store would.
-        kernel._plan_entry = (clone, None)
+        # Inject the deserialized plan's source, as a warm store would.
+        kernel._plan_source_entry = (generate_plan_source(clone), None)
         vec_launch = kernel.launch(vec_device, {"vec": vec_buf})
 
         assert vec_launch.execution_mode == "vectorized"
@@ -236,7 +240,7 @@ class TestOptimizePasses:
                         else 1.5
                     )
                 kernel = DescendKernel(prog, fun_def.name)
-                kernel._plan_entry = (plan, None)
+                kernel._plan_source_entry = (generate_plan_source(plan), None)
                 launch = kernel.launch(device, args)
                 buffers = {
                     p.name: device.to_host(args[p.name]).copy()
@@ -350,9 +354,10 @@ class TestGoldenJitSource:
 class TestEngineDifferential:
     """reference vs vectorized vs jit: byte-identical observable behaviour.
 
-    The jit engine replays the *same* plan through generated straight-line
-    source, so cycles, barriers, races, and output buffers must all match
-    the tree-walking reference interpreter exactly — not approximately.
+    The vectorized and jit engines both run the plan's generated
+    straight-line source, so cycles, barriers, races, and output buffers
+    must all match the tree-walking reference interpreter exactly — not
+    approximately.
     """
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -423,49 +428,85 @@ class TestEngineDifferential:
             assert launch.execution_mode == engine, kernel.fallback_reason
             results[engine] = [_normalized(r) for r in launch.races]
         assert results["jit"], "expected the racy program to race"
-        # The jit detector replays the same batched analysis as the plan
-        # interpreter: identical reports in identical order.
+        # The jit detector replays the same batched analysis as the stock
+        # detector the vectorized engine uses: identical reports in
+        # identical order.
         assert results["jit"] == results["vectorized"]
         # The reference engine records accesses one lane at a time, so its
         # report order may differ, but the set of racing pairs must agree.
         assert sorted(results["jit"]) == sorted(results["reference"])
 
 
-class TestJitFallback:
-    def test_oversized_codegen_is_unsupported(self):
-        """Dual-path IfOp emission can explode; codegen refuses, not OOMs."""
-        plan = compile_device_plan(
-            vector.build_scale_program(n=64, block_size=32).fun("scale_vec")
-        )
-        body_ops = plan.body
-        for _ in range(16):
-            body_ops = (IfOp(cond=0, then_ops=body_ops, else_ops=body_ops),)
-        bomb = dataclasses.replace(plan, body=body_ops)
-        with pytest.raises(CodegenUnsupported, match="lines"):
-            generate_plan_source(bomb)
+def _nested_ifs_program(depth: int):
+    """A kernel with ``depth`` nested divergent ``if``s inside two scheds.
 
-    def test_launch_degrades_to_vectorized_with_reason(self):
-        """jit launch with no generated source runs vectorized, not reference."""
-        prog = vector.build_scale_program(n=128, block_size=32)
-        data = np.arange(128, dtype=np.float64)
+    Each level tests ``elem + 0.5 < bound`` (shrinking bounds, so every
+    level splits the active lanes) and scales ``elem`` in its else arm.
+    Both arms lower to fresh op tuples, like any program's, and every level
+    adds the same 8 plan slots.
+    """
+    elem = var("vec").view("group", 32).select("block").select("thread")
 
-        vec_device = GpuDevice(execution_mode="vectorized")
-        vec_buf = vec_device.to_device(data)
-        vec_launch = DescendKernel(prog, "scale_vec").launch(
-            vec_device, {"vec": vec_buf}
+    def level(k):
+        if k == depth:
+            return block(assign(elem, add(read(elem), lit_f64(100.0))))
+        return block(
+            if_(
+                lt(add(read(elem), lit_f64(0.5)), lit_f64(60.0 - 4 * k)),
+                level(k + 1),
+                block(assign(elem, mul(read(elem), lit_f64(k + 2.0)))),
+            )
         )
 
-        jit_device = GpuDevice(execution_mode="jit")
-        jit_buf = jit_device.to_device(data)
-        kernel = DescendKernel(prog, "scale_vec")
-        # Inject a codegen refusal, exactly as the driver records one.
-        reason = "generated source exceeds 20000 lines"
-        kernel._plan_source_entry = (None, reason)
-        launch = kernel.launch(jit_device, {"vec": jit_buf})
+    kernel = fun(
+        "nested_ifs",
+        [param("vec", uniq_ref(GPU_GLOBAL, array(F64, 64)))],
+        gpu_grid_spec("grid", dim_x(2), dim_x(32)),
+        body(sched("X", "block", "grid", sched("X", "thread", "block", level(0)))),
+    )
+    return program(kernel)
 
-        assert launch.execution_mode == "vectorized"
-        assert kernel.fallback_reason == reason
-        assert launch.cycles == vec_launch.cycles
-        assert np.array_equal(
-            jit_device.to_host(jit_buf), vec_device.to_host(vec_buf)
-        )
+
+class TestNestedDivergence:
+    def test_nested_ifs_source_is_linear_and_matches_reference(self):
+        """Each ``if`` arm is emitted once: source grows by a constant per level."""
+        lines = []
+        for depth in range(13):
+            prog = _nested_ifs_program(depth)
+            source = generate_plan_source(compile_device_plan(prog.fun("nested_ifs"))).source
+            lines.append(source.count("\n"))
+            results = {}
+            for engine in ("reference", "vectorized", "jit"):
+                device = GpuDevice(execution_mode=engine)
+                buf = device.to_device(np.arange(64, dtype=np.float64))
+                kernel = DescendKernel(prog, "nested_ifs")
+                launch = kernel.launch(device, {"vec": buf}, detect_races=True)
+                assert launch.execution_mode == engine, kernel.fallback_reason
+                results[engine] = (
+                    launch.cycles,
+                    launch.barriers,
+                    [(r.first, r.second) for r in launch.races],
+                    device.to_host(buf).tolist(),
+                )
+            assert results["vectorized"] == results["reference"], depth
+            assert results["jit"] == results["reference"], depth
+        growth = {after - before for before, after in zip(lines, lines[1:])}
+        assert len(growth) == 1, lines
+
+    def test_plan_past_the_nesting_bound_runs_reference(self):
+        # Two scheds plus MAX_NESTING - 1 ifs: one level past the bound.
+        prog = _nested_ifs_program(MAX_NESTING - 1)
+        with pytest.raises(PlanUnsupported, match="nest deeper"):
+            lower_device_plan(prog.fun("nested_ifs"))
+        ref_device = GpuDevice(execution_mode="reference")
+        ref_buf = ref_device.to_device(np.arange(64, dtype=np.float64))
+        ref_launch = DescendKernel(prog, "nested_ifs").launch(ref_device, {"vec": ref_buf})
+        for engine in ("vectorized", "jit"):
+            device = GpuDevice(execution_mode=engine)
+            buf = device.to_device(np.arange(64, dtype=np.float64))
+            kernel = DescendKernel(prog, "nested_ifs")
+            launch = kernel.launch(device, {"vec": buf})
+            assert launch.execution_mode == "reference"
+            assert "nest deeper" in kernel.fallback_reason
+            assert launch.cycles == ref_launch.cycles
+            assert np.array_equal(device.to_host(buf), ref_device.to_host(ref_buf))

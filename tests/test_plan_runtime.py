@@ -1,12 +1,12 @@
-"""Unit tests for :mod:`repro.descend.plan.runtime` — the JIT support library.
+"""Unit tests for :mod:`repro.descend.plan.runtime` — the generated-source support library.
 
 The generated straight-line sources call back into ``rt`` for everything
 that touches memory; the contract under test here is the **masking
 discipline**: every load/store forwards the generated function's divergence
 mask as ``where=``, scalar-local assignments under a mask merge via
 ``np.where`` (inactive lanes keep their old value), and the runtime error
-strings match the op-at-a-time interpreter's.  The end-to-end half drives
-generated programs with divergent writes (overlapping reads, masked
+strings match the per-thread reference interpreter's.  The end-to-end half
+drives generated programs with divergent writes (overlapping reads, masked
 scatter) through all three engines via the fuzz harness oracle.
 """
 

@@ -1,6 +1,7 @@
 """Tests for the compile-service daemon and the `repro.descend.api` facade."""
 
 import json
+import logging
 import socket as socket_module
 import threading
 import time
@@ -299,6 +300,19 @@ class TestGracefulShutdown:
         assert not thread._thread.is_alive()
         assert result["response"].ok
         assert "__global__" in result["response"].artifacts["cuda"]
+
+    def test_shutdown_with_an_idle_connection_logs_no_traceback(self, tmp_path, caplog):
+        sock = str(tmp_path / "idle.sock")
+        thread = ServerThread(LocalBackend(label="idle"), ServeConfig(sock)).start()
+        with DescendClient(sock) as idle, DescendClient(sock) as stopper:
+            # The idle client stays connected, its handler blocked in a read,
+            # while the daemon shuts down.
+            assert idle.ping().ok
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                assert stopper.shutdown().ok
+                thread._thread.join(10.0)
+        assert not thread._thread.is_alive()
+        assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
 
     def test_requests_after_stop_get_shutting_down(self, tmp_path):
         sock = str(tmp_path / "stopping.sock")

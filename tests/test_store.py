@@ -636,27 +636,30 @@ class TestPlanSourcePersistence:
         assert warm_src.source == src.source  # regenerated, byte-identical
         assert warm.plan_source_compiles == 1
 
-    def test_codegen_fallback_reason_persists(self, tmp_path):
-        """A codegen refusal is stored too: warm sessions skip re-trying."""
-        from unittest import mock
+    def test_plan_unsupported_fallback_reason_persists(self, tmp_path):
+        """A lowering refusal is stored as plan-src too: warm sessions skip it."""
+        from repro.descend.plan.lower import MAX_NESTING
 
-        from repro.descend.plan import CodegenUnsupported
-
+        # Two scheds plus MAX_NESTING - 1 ifs: one level past the bound.
+        elem = "vec.group::<32>[[block]][[thread]]"
+        stmt = f"{elem} = {elem} * 2.0"
+        for _ in range(MAX_NESTING - 1):
+            stmt = f"if {elem} < 60.0 {{ {stmt} }}"
+        deep = (
+            "fn deep(vec: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> () {\n"
+            f"    sched(X) block in grid {{ sched(X) thread in block {{ {stmt} }} }}\n"
+            "}\n"
+        )
         cold = _warm_session(tmp_path / "store")
-        # The driver imports the generator at call time from the plan package.
-        with mock.patch(
-            "repro.descend.plan.generate_plan_source",
-            side_effect=CodegenUnsupported("generated source exceeds the line bound"),
-        ):
-            compiled = CompilerDriver(cold).compile_source(DOUBLER, name="doubler.descend")
-            src, reason = compiled.plan_source("doubler")
-        assert src is None and "line bound" in reason
+        src, reason = (
+            CompilerDriver(cold).compile_source(deep, name="deep.descend").plan_source("deep")
+        )
+        assert src is None and "nest deeper" in reason
+        assert cold.plan_source_compiles == 1
 
         warm = _warm_session(tmp_path / "store")
         warm_src, warm_reason = (
-            CompilerDriver(warm)
-            .compile_source(DOUBLER, name="doubler.descend")
-            .plan_source("doubler")
+            CompilerDriver(warm).compile_source(deep, name="deep.descend").plan_source("deep")
         )
         assert warm_src is None
         assert warm_reason == reason

@@ -1,14 +1,16 @@
-"""Distributed sweep dispatch: pull-based work stealing over TCP.
+"""Parallel bench sweeps: pull-based work stealing over TCP.
 
-:func:`repro.benchsuite.sweep.run_cells` shards bench cells across local
-``spawn``-ed pool workers; this module is its multi-machine sibling.  A
-:class:`SweepCoordinator` listens on a TCP port and hands cells to any
-worker that connects — locally spawned subprocesses
-(:func:`dispatch_cells` starts ``jobs`` of them) or remote ones joined by
-hand via ``descendc sweep-worker --connect HOST:PORT``.  All workers warm
-from one shared artifact store, normally the daemon's HTTP store endpoint
-(``--store-url``), so the warm-store zero-compute property becomes
-fleet-wide.
+A benchsuite sweep is a list of independent cells — one ``(variant,
+benchmark, size, scale)`` workload measured on every execution engine.
+Serial execution (:mod:`repro.benchsuite.enginebench`) is the default and
+the parity oracle; ``descendc bench --jobs N`` runs the same cells through
+this module.  A :class:`SweepCoordinator` listens on a TCP port and hands
+cells to any worker that connects — the ``N`` subprocesses
+:func:`dispatch_cells` spawns, or remote ones joined by hand via
+``descendc sweep-worker --connect HOST:PORT``.  All workers warm from one
+shared artifact store (``--store``: a directory, or a daemon's HTTP store
+endpoint for workers on other machines), so one worker does not
+re-typecheck what another already compiled.
 
 Design points:
 
@@ -16,25 +18,32 @@ Design points:
   (``{"op": "next"}``) instead of receiving a static slice up front —
   work stealing by construction, so a slow host finishes fewer cells
   instead of straggling the whole sweep.
-* **Same wire idiom as the daemon.**  Frames are the newline-delimited
-  key-sorted JSON of API schema v1 (:func:`repro.descend.api.encode_frame`),
-  and rows travel as their :meth:`~repro.benchsuite.enginebench.EngineBenchRow.as_dict`
+* **Same rows, same order.**  Frames are the newline-delimited key-sorted
+  JSON of API schema v1 (:func:`repro.descend.api.encode_frame`), and rows
+  travel as their :meth:`~repro.benchsuite.enginebench.EngineBenchRow.as_dict`
   payload, rebuilt with :meth:`~repro.benchsuite.enginebench.EngineBenchRow.from_dict`
-  — constructor fields only, so a dispatched row is value-identical to a
-  serial one (the serial sweep stays the parity oracle; only the timing
-  and ``host`` columns differ).
-* **PR 7 retry machinery, verbatim semantics.**  Every assignment carries
-  the cell's attempt count as its fault ``epoch``; the worker installs it
-  in ``REPRO_FAULTS_EPOCH`` before measuring, so "crash in round 0, heal
-  in round 1" chaos plans govern dispatched workers exactly like pool
-  workers.  A worker that dies mid-cell (connection EOF with an
-  assignment outstanding) fails that attempt; past ``max_attempts`` the
-  sweep aborts with a :class:`BenchmarkError` naming the cell — loud,
-  structured, never a hang.
-* **Fault seam.**  The coordinator's assignment path checks the
-  ``sweep.dispatch`` site: an injected failure drops the worker's
-  connection with the cell assigned, exercising the same requeue path a
-  killed worker takes.
+  — constructor fields only — and merged in sweep order, so the report is
+  value-identical to the serial one except for the timing, ``host`` and
+  ``retries`` columns.
+* **Retry, then fail loud.**  Every assignment carries the cell's attempt
+  count as its fault ``epoch``; the worker installs it in
+  ``REPRO_FAULTS_EPOCH`` before measuring, so "fail on the first attempt,
+  heal on the retry" chaos plans are deterministic.  A cell that fails —
+  an error reported as data, or a worker dying mid-cell (connection EOF
+  with an assignment outstanding) — is requeued, up to
+  :data:`DEFAULT_MAX_ATTEMPTS` tries; a surviving row records its failed
+  tries in ``retries``.  A cell that fails every attempt aborts the sweep
+  with a :class:`BenchmarkError` naming the cell — never a hang.
+* **Cold workers, respawned.**  Local workers start as fresh
+  ``python -m repro.cli sweep-worker`` interpreters, so the warm-from-store
+  path is the one exercised and callers need no ``__main__`` guard.  A
+  worker that exits early is respawned (bounded by the retry budget) one
+  fault epoch past the worker it replaces.
+* **Fault seams.**  ``sweep.spawn`` fires in worker start-up,
+  ``sweep.cell`` around each measurement, and ``sweep.dispatch`` on the
+  coordinator's assignment path, where an injected failure drops the
+  worker's connection with the cell assigned — the requeue path a killed
+  worker takes.
 
 Wire protocol (worker → coordinator, then the reply):
 
@@ -46,8 +55,10 @@ Wire protocol (worker → coordinator, then the reply):
                              is in flight — poll again), or
                              ``{"op": "done"}`` (sweep over, exit 0).
 ``{"op": "result", "index", "row"|null, "error"|null, "passes", "host"}``
-                             One finished cell; no reply (the worker sends
-                             ``next`` again).
+                             The held cell, finished; no reply (the worker
+                             sends ``next`` again).  A result for any other
+                             index, or a ``next`` while holding a cell, drops
+                             the connection.
 ==========================  ================================================
 """
 
@@ -67,7 +78,13 @@ from repro import faults
 from repro.descend.api import MAX_FRAME_BYTES, encode_frame
 from repro.errors import BenchmarkError
 
-__all__ = ["SweepCoordinator", "dispatch_cells", "run_worker"]
+__all__ = ["SweepCoordinator", "dispatch_cells", "make_cells", "run_worker"]
+
+#: Hard cap on worker processes; sweeps have at most a few dozen cells.
+MAX_JOBS = 32
+
+#: Total tries per cell (1 first run + retries) before the sweep aborts.
+DEFAULT_MAX_ATTEMPTS = 3
 
 #: How long an idle worker sleeps when every pending cell is in flight.
 IDLE_POLL_MS = 50
@@ -75,6 +92,51 @@ IDLE_POLL_MS = 50
 #: How often :func:`dispatch_cells` polls coordinator state and worker
 #: process liveness.
 SUPERVISE_POLL_S = 0.05
+
+
+def make_cells(
+    variant: str,
+    specs: Sequence[tuple],
+    repeats: int,
+    budget_s: Optional[float],
+    device_s_per_cycle: Optional[float] = None,
+) -> List[Dict[str, object]]:
+    """Cell dicts for ``specs`` of ``(benchmark, size, scale)`` triples.
+
+    ``device_s_per_cycle`` threads the emulated device-execution wait of
+    :func:`~repro.benchsuite.enginebench.compare_engines` through to the
+    workers (the sweep-scaling benchmark's device-bound regime); the
+    default leaves the cells pure measurement.
+    """
+    return [
+        {
+            "index": index,
+            "variant": variant,
+            "benchmark": benchmark,
+            "size": size,
+            "scale": scale,
+            "repeats": repeats,
+            "budget_s": budget_s,
+            "device_s_per_cycle": device_s_per_cycle,
+        }
+        for index, (benchmark, size, scale) in enumerate(specs)
+    ]
+
+
+def merge_pass_totals(
+    totals: Dict[str, Dict[str, int]], delta: Dict[str, Dict[str, int]]
+) -> None:
+    """Accumulate one cell's pass summary into the sweep-wide totals."""
+    for name, tiers in delta.items():
+        bucket = totals.setdefault(name, {})
+        for tier, count in tiers.items():
+            bucket[tier] = bucket.get(tier, 0) + count
+
+
+def _cell_label(cell: Dict[str, object]) -> str:
+    return (
+        f"{cell['variant']}:{cell['benchmark']}/{cell['size']} (scale {cell['scale']})"
+    )
 
 
 def _decode_line(line: bytes) -> Dict[str, object]:
@@ -98,19 +160,13 @@ class SweepCoordinator:
     def __init__(
         self,
         cells: Sequence[Dict[str, object]],
-        store_url: Optional[str] = None,
-        max_attempts: Optional[int] = None,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         progress=None,
         pass_totals: Optional[Dict[str, Dict[str, int]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        from repro.benchsuite.sweep import default_max_attempts
-
-        self.store_url = store_url
-        self.max_attempts = (
-            max_attempts if max_attempts is not None else default_max_attempts()
-        )
+        self.max_attempts = max_attempts
         self._progress = progress
         self._pass_totals = pass_totals
         self._bind = (host, port)
@@ -217,7 +273,13 @@ class SweepCoordinator:
                         with self._lock:
                             self.workers_seen += 1
                         conn.sendall(encode_frame({"op": "welcome"}))
+                    # A connection holds at most one cell: asking for another,
+                    # or reporting any index but the held one, drops it, and
+                    # the finally block requeues the held cell as a failed
+                    # attempt.
                     elif op == "next":
+                        if current is not None:
+                            break
                         reply, current = self._assign(label)
                         if reply is None:
                             # Injected dispatch fault: drop the connection
@@ -228,7 +290,9 @@ class SweepCoordinator:
                         if reply["op"] == "done":
                             break
                     elif op == "result":
-                        self._record(frame, label)
+                        if current is None or frame.get("index") != current:
+                            break
+                        self._record(current, frame, label)
                         current = None
                     else:
                         break
@@ -265,14 +329,9 @@ class SweepCoordinator:
             return None, index
         return {"op": "cell", "cell": cell, "epoch": epoch}, index
 
-    def _record(self, frame: Dict[str, object], label: str) -> None:
+    def _record(self, index: int, frame: Dict[str, object], label: str) -> None:
         from repro.benchsuite.enginebench import EngineBenchRow
-        from repro.benchsuite.sweep import merge_pass_totals
 
-        raw_index = frame.get("index")
-        if not isinstance(raw_index, int):
-            return
-        index = raw_index
         error = frame.get("error")
         if error is not None:
             self._cell_failed(index, str(error))
@@ -307,8 +366,6 @@ class SweepCoordinator:
             self._finished.set()
 
     def _cell_failed(self, index: int, error: str) -> None:
-        from repro.benchsuite.sweep import _cell_label
-
         with self._lock:
             cell = self._pending.get(index)
             if cell is None:
@@ -331,23 +388,67 @@ class SweepCoordinator:
 
 
 # -- the worker side -----------------------------------------------------------
+def _worker_init(store_path: Optional[str]) -> None:
+    """Worker start-up: a fresh session warmed by the shared store."""
+    faults.maybe_raise("sweep.spawn")
+    from repro.descend.driver import CompileSession, set_active_session
+
+    session = CompileSession(label=f"sweep-worker-{os.getpid()}")
+    if store_path:
+        from repro.descend.store import ArtifactStore
+
+        try:
+            session.attach_store(ArtifactStore(store_path))
+        except OSError:
+            pass  # an unusable store only costs warmth, never the sweep
+    set_active_session(session)
+
+
+def _run_cell(cell: Dict[str, object]):
+    """Measure one sweep cell; returns ``(row, error, passes)``.
+
+    ``passes`` is the cell's compile-pass summary from the worker's session
+    (:meth:`~repro.descend.driver.CompileSession.pass_counts_since`) — how
+    the coordinator proves that warm-store workers deserialized plans
+    instead of re-lowering them.
+    """
+    from repro.benchsuite.enginebench import compare_engines
+    from repro.descend.driver import active_session
+
+    session = active_session()
+    mark = session.pass_counts_snapshot()
+    try:
+        faults.maybe_raise("sweep.cell")
+        row = compare_engines(
+            str(cell["benchmark"]),
+            str(cell["size"]),
+            repeats=int(cell["repeats"]),  # type: ignore[arg-type]
+            variant=str(cell["variant"]),
+            scale=cell["scale"],  # type: ignore[arg-type]
+            budget_s=cell["budget_s"],  # type: ignore[arg-type]
+            device_s_per_cycle=cell.get("device_s_per_cycle"),  # type: ignore[arg-type]
+        )
+        return row, None, session.pass_counts_since(mark)
+    except Exception as exc:  # reported to the coordinator as data
+        return None, f"{type(exc).__name__}: {exc}", None
+
+
 def run_worker(
     address: Tuple[str, int],
-    store_url: Optional[str] = None,
+    store_path: Optional[str] = None,
     timeout_s: float = 300.0,
 ) -> int:
     """Join a sweep coordinator and measure cells until it says ``done``.
 
-    The worker installs a fresh store-warmed session (the same
-    ``sweep.spawn`` seam as a pool worker), then loops: pull, set the
-    assignment's fault epoch, measure via the shared
-    :func:`~repro.benchsuite.sweep._run_cell`, report.  Returns a process
-    exit code: ``0`` after ``done``, ``1`` on a lost coordinator.
+    The worker installs a fresh store-warmed session (the ``sweep.spawn``
+    seam; an :class:`OSError` there propagates as a start-up failure), then
+    loops: pull, set the assignment's fault epoch, measure, report.
+    Returns a process exit code: ``0`` after ``done``, ``1`` on a lost
+    coordinator.
     """
     from repro.benchsuite.enginebench import host_label
-    from repro.benchsuite.sweep import _run_cell, _worker_init
 
-    _worker_init(store_url)
+    _worker_init(store_path)
     label = host_label()
     try:
         conn = socket.create_connection(address, timeout=timeout_s)
@@ -384,14 +485,14 @@ def run_worker(
                     return 1
                 # The assignment's epoch is the cell's attempt count: chaos
                 # plans keyed `epoch=0` fail the first try and heal on the
-                # requeue, exactly like the pool orchestrator's rounds.
+                # requeue.
                 epoch = reply.get("epoch", 0)
                 epoch_before = os.environ.get(faults.ENV_EPOCH)
                 os.environ[faults.ENV_EPOCH] = str(
                     epoch if isinstance(epoch, int) else 0
                 )
                 try:
-                    index, row, error, passes = _run_cell(cell)
+                    row, error, passes = _run_cell(cell)
                 finally:
                     if epoch_before is None:
                         os.environ.pop(faults.ENV_EPOCH, None)
@@ -401,7 +502,7 @@ def run_worker(
                     encode_frame(
                         {
                             "op": "result",
-                            "index": int(index),  # type: ignore[arg-type]
+                            "index": cell.get("index"),
                             "row": row.as_dict() if row is not None else None,
                             "error": error,
                             "passes": passes,
@@ -415,7 +516,9 @@ def run_worker(
 
 
 # -- the orchestrating entry point ---------------------------------------------
-def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subprocess.Popen:
+def _spawn_worker(
+    address: Tuple[str, int], store_path: Optional[str], epoch: int
+) -> subprocess.Popen:
     import repro
 
     command = [
@@ -426,9 +529,17 @@ def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subproc
         "--connect",
         f"{address[0]}:{address[1]}",
     ]
-    if store_url:
-        command += ["--store", store_url]
     env = os.environ.copy()
+    if store_path:
+        command += ["--store", store_path]
+    else:
+        # A sweep without a store stays without one: the worker CLI would
+        # otherwise fall back to REPRO_STORE.
+        env.pop("REPRO_STORE", None)
+    # Start-up faults key on this epoch: a slot's first worker runs at 0 and
+    # each respawn one past the worker it replaces, so a `sweep.spawn` plan
+    # scoped to `epoch=0` heals on the first respawn.
+    env[faults.ENV_EPOCH] = str(epoch)
     # The spawned interpreter must resolve the same `repro` package this
     # process runs, regardless of the caller's cwd or a relative PYTHONPATH.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -442,39 +553,43 @@ def _spawn_worker(address: Tuple[str, int], store_url: Optional[str]) -> subproc
 def dispatch_cells(
     cells: Sequence[Dict[str, object]],
     jobs: int,
-    store_url: Optional[str] = None,
+    store_path: Optional[str] = None,
     progress=None,
     pass_totals: Optional[Dict[str, Dict[str, int]]] = None,
-    max_attempts: Optional[int] = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> List[object]:
     """Run sweep cells through a coordinator plus ``jobs`` local workers.
 
-    The same contract as :func:`repro.benchsuite.sweep.run_cells` — rows in
-    sweep order, ``pass_totals`` merged, :class:`BenchmarkError` when a
-    cell exhausts its attempts — with the cells travelling over TCP, so
-    externally connected ``descendc sweep-worker`` processes steal work
+    Each cell dict carries ``index``, ``variant``, ``benchmark``, ``size``,
+    ``scale``, ``repeats`` and ``budget_s`` (see :func:`make_cells`).
+    Returns the rows in sweep order; every worker attaches the artifact
+    store at ``store_path`` (a directory or a store URL) when one is given,
+    and when ``pass_totals`` is given their compile-pass summaries are
+    merged into it (the ``compile_passes`` field of the bench report).
+    Externally connected ``descendc sweep-worker`` processes steal work
     alongside the local ones.  Dead workers are respawned (bounded by the
     retry budget) and their in-flight cells requeued with an advanced
-    fault epoch.
+    fault epoch; a cell that fails ``max_attempts`` times raises
+    :class:`BenchmarkError`.
     """
-    from repro.benchsuite.sweep import MAX_JOBS
-
     jobs = max(1, min(int(jobs), MAX_JOBS, len(cells) or 1))
     coordinator = SweepCoordinator(
         cells,
-        store_url=store_url,
         max_attempts=max_attempts,
         progress=progress,
         pass_totals=pass_totals,
     )
     coordinator.start()
     workers: List[subprocess.Popen] = []
+    epochs = [0] * jobs
     # A worker that exits nonzero before the sweep is over gets replaced,
     # but only so many times: every legitimate respawn consumes one retry
     # of some cell, so the attempt budget bounds the respawn budget too.
     respawn_budget = coordinator.max_attempts * max(1, len(cells))
     try:
-        workers = [_spawn_worker(coordinator.address, store_url) for _ in range(jobs)]
+        workers = [
+            _spawn_worker(coordinator.address, store_path, epoch) for epoch in epochs
+        ]
         while not coordinator.wait(SUPERVISE_POLL_S):
             for slot, proc in enumerate(workers):
                 code = proc.poll()
@@ -485,7 +600,10 @@ def dispatch_cells(
                 respawn_budget -= 1
                 if progress is not None:
                     progress(f"sweep worker exited with code {code}; respawning")
-                workers[slot] = _spawn_worker(coordinator.address, store_url)
+                epochs[slot] += 1
+                workers[slot] = _spawn_worker(
+                    coordinator.address, store_path, epochs[slot]
+                )
             if (
                 respawn_budget <= 0
                 and not coordinator.finished

@@ -79,7 +79,7 @@ QUICK_DESCEND_ROWS = (("small", 1),)
 #: simulated cycle (the checked-in trajectory measures 130–300 µs/cycle).
 #: The budget guard multiplies it by the row's cycle count — which both
 #: engines share exactly — so the skip decision is deterministic and
-#: identical between serial and sharded sweeps.
+#: identical between serial and parallel sweeps.
 REF_SECONDS_PER_CYCLE = 3e-4
 #: Default per-row budget (seconds) for the reference-engine column of the
 #: Descend sweep; override with ``--budget`` or ``REPRO_BENCH_BUDGET_S``.
@@ -134,8 +134,8 @@ class EngineBenchRow:
     jit_cycles: Optional[float] = None
     jit_wall_s: Optional[float] = None
     #: Which process measured this row — ``hostname:pid``, stamped by
-    #: :func:`compare_engines` so serial rows, pool shards and dispatched
-    #: remote workers are all attributable in the merged report.
+    #: :func:`compare_engines` so serial rows and rows from local or remote
+    #: sweep workers are all attributable in the merged report.
     host: str = ""
 
     @property
@@ -475,48 +475,30 @@ def _run_sweep(
     store_path: Optional[str],
     progress,
 ) -> EngineBenchResult:
-    """Run a sweep's cells serially or sharded across worker processes.
+    """Run a sweep's cells serially or across ``jobs`` worker processes.
 
-    The serial path is the default and the parity oracle; the sharded path
-    (:mod:`repro.benchsuite.sweep`) merges per-shard rows back into sweep
-    order, so both produce identical reports modulo the timing fields.
+    The serial path is the default and the parity oracle; the parallel path
+    (:func:`repro.benchsuite.dispatch.dispatch_cells`) merges the workers'
+    rows back into sweep order, so both produce identical reports modulo
+    the timing fields.
     """
     result = EngineBenchResult(kind=kind)
     if jobs > 1:
-        from repro.benchsuite.sweep import make_cells, run_cells
-        from repro.descend.store import is_store_url
+        from repro.benchsuite.dispatch import dispatch_cells, make_cells
 
-        cells = make_cells(variant, specs, repeats=repeats, budget_s=budget_s)
-        if store_path and is_store_url(store_path):
-            # A URL store means the sweep can leave the machine: route the
-            # cells through the pull-based dispatcher (workers steal cells
-            # over TCP) instead of the single-host process pool.
-            from repro.benchsuite.dispatch import dispatch_cells
-
-            if progress is not None:
-                progress(
-                    f"dispatching {len(specs)} sweep cells to {jobs} workers "
-                    f"(store {store_path}) ..."
-                )
-            result.rows.extend(
-                dispatch_cells(
-                    cells, jobs, store_url=store_path, progress=progress,
-                    pass_totals=result.compile_passes,
-                )
-            )
-            return result
         if progress is not None:
-            progress(f"sharding {len(specs)} sweep cells across {jobs} workers ...")
+            progress(f"dispatching {len(specs)} sweep cells to {jobs} workers ...")
         result.rows.extend(
-            run_cells(
-                cells, jobs, store_path=store_path, progress=progress,
+            dispatch_cells(
+                make_cells(variant, specs, repeats=repeats, budget_s=budget_s),
+                jobs, store_path=store_path, progress=progress,
                 pass_totals=result.compile_passes,
             )
         )
         return result
 
     def run_serial() -> None:
-        from repro.benchsuite.sweep import merge_pass_totals
+        from repro.benchsuite.dispatch import merge_pass_totals
         from repro.descend.driver import active_session
 
         session = active_session()
@@ -594,9 +576,9 @@ def run_descend_engine_bench(
 
     ``budget_s`` (default: :func:`default_budget_s`) caps the per-row
     reference-engine wall-clock; over-budget rows keep their vectorized
-    column and record ``"skipped": "budget"``.  ``jobs > 1`` shards the
-    rows across worker processes, each warming from the shared artifact
-    store at ``store_path`` if one is given.
+    column and record ``"skipped": "budget"``.  ``jobs > 1`` dispatches the
+    rows to worker processes, each warming from the shared artifact store
+    at ``store_path`` (a directory or a store URL) if one is given.
     """
     if rows is None:
         if sizes is None and scales is None:
@@ -663,7 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="shard the sweep across N worker processes (default: serial)",
+        help="dispatch the sweep to N pull-based worker processes (default: serial)",
     )
     parser.add_argument(
         "--budget", type=float, default=None,
@@ -673,14 +655,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--store", default=None,
-        help="persistent artifact store warming the compile caches "
-        "(shared by every sweep worker with --jobs)",
-    )
-    parser.add_argument(
-        "--store-url", default=None, dest="store_url",
-        help="HTTP store endpoint URL of a `descendc serve --store-http` daemon; "
-        "with --jobs N the sweep dispatches cells to worker processes sharing "
-        "that remote store (pull-based work stealing)",
+        help="persistent artifact store (directory or store URL) warming the "
+        "compile caches (shared by every sweep worker with --jobs)",
     )
     parser.add_argument(
         "--output", default=None,
@@ -692,10 +668,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output is None:
         args.output = "BENCH_descend_engine.json" if args.descend else "BENCH_engine.json"
-    if args.store and args.store_url:
-        parser.error("pass either --store or --store-url, not both")
-    if args.store_url:
-        args.store = args.store_url
     if args.scales and not args.descend:
         parser.error("--scales applies to the Descend variant; use --scale with the CUDA-lite bench")
     if args.descend and args.scale is not None and args.scales:

@@ -212,9 +212,9 @@ def precompile_descend(benchmark: str, params: Dict[str, int]) -> None:
     engines measure pure execution: without it the first reference run
     would pay the cold typeck and the first vectorized run the cold plan
     lowering, which later runs then get from the cache.  When the active
-    session carries a persistent artifact store (``--store`` / sharded
+    session carries a persistent artifact store (``--store`` / parallel
     sweeps), this is also where a worker process pulls the typecheck done
-    by another shard instead of redoing it.
+    by another worker instead of redoing it.
     """
     compiled = compile_program(_DESCEND_BUILDERS[benchmark](params))
     for fun_name in compiled.gpu_function_names():

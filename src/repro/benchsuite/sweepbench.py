@@ -186,7 +186,7 @@ def _dispatch_phase(
     pass_totals: Dict[str, Dict[str, int]] = {}
     started = time.perf_counter()
     rows = dispatch_cells(
-        cells, workers, store_url=store_url, pass_totals=pass_totals
+        cells, workers, store_path=store_url, pass_totals=pass_totals
     )
     wall_s = time.perf_counter() - started
     hosts = len({getattr(row, "host", "") for row in rows})
@@ -213,7 +213,7 @@ def run_sweep_bench(
     progress=None,
 ) -> SweepBenchResult:
     from repro.benchsuite.enginebench import DESCEND_BENCHMARKS
-    from repro.benchsuite.sweep import make_cells
+    from repro.benchsuite.dispatch import make_cells
 
     specs = [
         (benchmark, "small", scale)

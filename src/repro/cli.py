@@ -40,8 +40,8 @@ Sub-commands:
     Figure 8 workloads (CUDA-lite kernels by default, the Descend programs
     through the device-plan compiler with ``--descend``), assert cycle-count
     parity, and write a ``BENCH_*.json`` report (the CI bench-smoke
-    artifacts).  ``--jobs N`` shards the sweep across N worker processes
-    (serial stays the default and the parity oracle); ``--compile``
+    artifacts).  ``--jobs N`` dispatches the sweep to N pull-based worker
+    processes (serial stays the default and the parity oracle); ``--compile``
     benchmarks the *compiler* instead (``BENCH_compile_time.json``);
     ``--serve`` load-tests the compile-service daemon
     (``BENCH_serve_throughput.json``: requests/s, p50/p99, cold vs warm
@@ -287,9 +287,10 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
         print(f"error: --connect wants HOST:PORT, got {args.connect!r}", file=sys.stderr)
         return 2
     try:
-        return run_worker((host or "127.0.0.1", port_number), store_url=_store_path(args))
+        return run_worker((host or "127.0.0.1", port_number), store_path=_store_path(args))
     except OSError as exc:
-        print(f"error: cannot reach sweep coordinator at {args.connect!r}: {exc}", file=sys.stderr)
+        # run_worker reports coordinator I/O itself; what escapes is start-up.
+        print(f"error: sweep worker start-up failed: {exc}", file=sys.stderr)
         return EXIT_CODES[ERR_IO]
 
 
@@ -371,9 +372,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.compile and args.serve:
         print("error: --compile and --serve are mutually exclusive", file=sys.stderr)
         return 2
-    if args.store_url and args.store:
-        print("error: --store and --store-url are mutually exclusive", file=sys.stderr)
-        return 2
     if args.compile:
         if workload_flags:
             print(
@@ -442,12 +440,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         forwarded += ["--jobs", str(args.jobs)]
     if args.budget is not None:
         forwarded += ["--budget", str(args.budget)]
-    if args.store_url:
-        forwarded += ["--store-url", args.store_url]
-    else:
-        store = _store_path(args)
-        if store:
-            forwarded += ["--store", store]
+    store = _store_path(args)
+    if store:
+        forwarded += ["--store", store]
     if args.output:
         forwarded += ["--output", args.output]
     if args.json:
@@ -720,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="address of the sweep coordinator (printed by `descendc bench --jobs N "
-        "--store-url URL`, or passed out-of-band for remote machines)",
+        help="address of the sweep coordinator (a `descendc bench --jobs N` run's "
+        "dispatcher, passed out-of-band to workers on other machines)",
     )
     sweep_worker.set_defaults(func=cmd_sweep_worker)
 
@@ -862,17 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int)
     bench.add_argument(
         "--jobs", type=int, default=None,
-        help="shard the sweep across N worker processes (default: serial)",
+        help="dispatch the sweep to N pull-based worker processes (default: serial)",
     )
     bench.add_argument(
         "--budget", type=float, default=None,
         help="per-row wall-clock budget (seconds) for the reference-engine column "
         "of the Descend sweep; over-budget rows record it as skipped",
-    )
-    bench.add_argument(
-        "--store-url", default=None, dest="store_url", metavar="URL",
-        help="attach the sweep to a daemon's HTTP store endpoint and dispatch "
-        "--jobs N cells to worker processes with pull-based work stealing",
     )
     bench.add_argument("--output", help="path of the BENCH_*.json report")
     bench.add_argument("--json", action="store_true")
@@ -886,7 +876,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # Attach (or detach) the persistent artifact store for this invocation;
     # `cache` manages the store directly, `client` defers to the daemon's,
-    # and `sweep-worker` attaches per-cell inside its run loop.
+    # and `sweep-worker` attaches it to the fresh session of its start-up.
     if args.command not in ("cache", "client", "sweep-worker"):
         path = _store_path(args)
         try:

@@ -9,9 +9,6 @@ client, and the canonical compile functions:
 >>> program = compile_source(source_text)      # parse + typecheck
 >>> cuda = program.to_cuda()                   # CUDA C++ source strings
 >>> result = program.run(device, args)         # execute on the GPU simulator
-
-(The old ``repro.descend.compiler`` compile functions are deprecated shims
-over the facade.)
 """
 
 from repro.descend.nat import Nat, NatConst, NatVar, as_nat

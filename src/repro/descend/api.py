@@ -6,10 +6,8 @@ workers — speaks this module instead of reaching into scattered entry
 points.  It has three layers, innermost first:
 
 * **Functions.**  :func:`compile_source` / :func:`compile_program` /
-  :func:`compile_file` are the canonical programmatic entry points (the
-  old ``repro.descend.compiler`` module-level functions are deprecated
-  shims over these).  They return rich in-process objects
-  (:class:`~repro.descend.driver.CompiledProgram`).
+  :func:`compile_file` are the programmatic entry points.  They return
+  rich in-process objects (:class:`~repro.descend.driver.CompiledProgram`).
 
 * **Requests.**  :class:`Request` / :class:`Response` are the *versioned*
   (``v = 1``) operation schema: ``check`` / ``compile`` / ``print`` /

@@ -41,7 +41,7 @@ that want isolation (tests, cold-cache benchmarks) create their own
 :func:`session_scope`.
 
 The convenience façades ``compile_source`` / ``compile_program`` /
-``compile_file`` in :mod:`repro.descend.compiler` delegate here.
+``compile_file`` in :mod:`repro.descend.api` delegate here.
 """
 
 from __future__ import annotations
@@ -752,7 +752,7 @@ class CompiledProgram:
     """A parsed and type-checked Descend program with its back-ends attached.
 
     Produced by :class:`CompilerDriver` (or the façades in
-    :mod:`repro.descend.compiler`).  All lowerings route through the
+    :mod:`repro.descend.api`).  All lowerings route through the
     session's content-addressed caches, so e.g. two ``kernel()`` handles of
     the same program share one device plan.
     """

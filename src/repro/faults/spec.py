@@ -23,11 +23,12 @@ describing when it misbehaves and how::
     Stop firing after this many fires (how chaos tests let a retry
     eventually succeed against a long-lived daemon).
 ``epoch=<int>``
-    Fire only when ``REPRO_FAULTS_EPOCH`` equals this value.  Spawned
-    sweep workers inherit the orchestrator's epoch (the retry round), so
-    "every cell fails in round 0, succeeds in round 1" is expressible and
-    deterministic even though worker-local hit counters restart per
-    process.
+    Fire only when ``REPRO_FAULTS_EPOCH`` equals this value.  The sweep
+    dispatcher sets it per cell attempt (a cell's first try runs at epoch
+    0, its retry at 1, ...) and per respawn (a slot's first worker starts
+    at 0, each replacement one past the worker it replaces), so "fail on
+    the first try, heal on the retry" is expressible and deterministic
+    even though worker-local hit counters restart per process.
 
 Example: a store whose first two blob writes are torn, a daemon that
 drops the socket on the second response::

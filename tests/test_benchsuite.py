@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -400,14 +401,26 @@ class TestSweepOrchestrator:
         assert result.compile_passes.get("typeck", {}).get("compute", 0) >= 1
 
     def test_worker_failure_aborts_the_sweep(self):
-        from repro.benchsuite.sweep import make_cells, run_cells
+        from repro.benchsuite.dispatch import dispatch_cells, make_cells
 
         cells = make_cells("descend", [("no-such-benchmark", "small", 1)], 1, None)
         with pytest.raises(BenchmarkError, match="no-such-benchmark"):
-            run_cells(cells, jobs=2)
+            dispatch_cells(cells, jobs=2)
+
+    def test_storeless_parallel_sweep_leaves_repro_store_alone(self, tmp_path, monkeypatch):
+        """A `--jobs` sweep without a store runs storeless workers: they must
+        not fall back to the REPRO_STORE a serial-path CLI call would use."""
+        ambient = tmp_path / "ambient-store"
+        ambient.mkdir()
+        monkeypatch.setenv("REPRO_STORE", str(ambient))
+        result = run_descend_engine_bench(
+            benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
+        )
+        assert [row.benchmark for row in result.rows] == ["transpose"]
+        assert list(ambient.iterdir()) == []
 
     def test_make_cells_preserves_sweep_order(self):
-        from repro.benchsuite.sweep import make_cells
+        from repro.benchsuite.dispatch import make_cells
 
         cells = make_cells("cudalite", [("reduce", "small", None), ("scan", "medium", 2)], 3, 1.5)
         assert [c["index"] for c in cells] == [0, 1]
@@ -504,8 +517,7 @@ class TestSweepDispatch:
                         break
                     assert reply["op"] == "wait" and deadline > 0
                     deadline -= 1
-                    import time as _time
-                    _time.sleep(0.05)
+                    time.sleep(0.05)
                 assert reply["epoch"] == 1  # the requeue advanced the fault epoch
                 conn.sendall(encode_frame({
                     "op": "result", "index": 0, "row": dict(self.ROW),
@@ -528,6 +540,61 @@ class TestSweepDispatch:
             assert coordinator.wait(5.0)
             with pytest.raises(BenchmarkError, match="reduce/small"):
                 coordinator.result()
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            {"op": "result", "index": 1},
+            {"op": "result", "index": "0"},
+            {"op": "next"},
+        ],
+        ids=["other-index", "non-integer-index", "next-while-holding"],
+    )
+    def test_frame_breaking_the_held_cell_drops_the_worker(self, bad_frame):
+        """A connection holds one cell: a result under any other index, or a
+        second `next`, is refused — the connection drops, nothing is merged,
+        and the held cell is requeued as a failed attempt instead of being
+        stranded (which would leave the sweep waiting forever)."""
+        from repro.benchsuite.dispatch import SweepCoordinator
+        from repro.descend.api import encode_frame
+
+        cells = [dict(self.CELL), dict(self.CELL, index=1, benchmark="scan")]
+        with SweepCoordinator(cells, max_attempts=3) as coordinator:
+            conn, reader = self._connect(coordinator, host="confused-worker:1")
+            with conn, reader:
+                conn.sendall(encode_frame({"op": "next"}))
+                assert json.loads(reader.readline())["cell"]["index"] == 0
+                payload = {"row": dict(self.ROW), "error": None, "passes": {}}
+                if bad_frame["op"] == "next":
+                    payload = {}
+                conn.sendall(encode_frame({**payload, **bad_frame}))
+                assert reader.readline() == b""  # the coordinator hung up
+
+            served = {}
+            conn, reader = self._connect(coordinator, host="healthy-worker:2")
+            with conn, reader:
+                for _ in range(50):
+                    conn.sendall(encode_frame({"op": "next"}))
+                    reply = json.loads(reader.readline())
+                    if reply["op"] == "done":
+                        break
+                    if reply["op"] == "wait":
+                        time.sleep(0.05)
+                        continue
+                    cell = reply["cell"]
+                    served[cell["index"]] = reply["epoch"]
+                    row = dict(self.ROW, benchmark=cell["benchmark"], host="healthy-worker:2")
+                    conn.sendall(encode_frame({
+                        "op": "result", "index": cell["index"], "row": row,
+                        "error": None, "passes": {}, "host": "healthy-worker:2",
+                    }))
+            # Cell 0 came back one epoch on; cell 1 was never filed.
+            assert served == {0: 1, 1: 0}
+            assert coordinator.wait(5.0)
+            rows = coordinator.result()
+        assert [(row.benchmark, row.retries, row.host) for row in rows] == [
+            ("reduce", 1, "healthy-worker:2"), ("scan", 0, "healthy-worker:2"),
+        ]
 
     def test_worker_reported_error_counts_as_an_attempt(self):
         from repro.benchsuite.dispatch import SweepCoordinator

@@ -228,6 +228,44 @@ def test_bench_descend_jobs_matches_serial_shape(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["entries"] > 0
 
 
+def test_bench_descend_jobs_over_a_store_url(tmp_path, capsys):
+    import json
+
+    from repro.descend.api import LocalBackend
+    from repro.descend.serve import ServeConfig, ServerThread
+
+    out_path = tmp_path / "BENCH_url.json"
+    config = ServeConfig(
+        str(tmp_path / "serve.sock"), store_path=str(tmp_path / "store"),
+        store_http_port=0,
+    )
+    with ServerThread(LocalBackend(label="cli-http"), config) as thread:
+        assert main([
+            "bench", "--descend", "--benchmarks", "transpose", "--sizes", "small",
+            "--scales", "1", "--jobs", "2", "--store", thread.store_url,
+            "--output", str(out_path),
+        ]) == 0
+        rows = json.loads(out_path.read_text())["workloads"]
+        assert rows and all(row["host"] for row in rows)
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json", "--store", thread.store_url]) == 0
+        stats = json.loads(capsys.readouterr().out)
+    assert stats["backend"] == "http"
+    assert stats["entries"] > 0
+
+
+def test_sweep_worker_start_up_failure_is_not_blamed_on_the_coordinator(
+    monkeypatch, capsys
+):
+    from repro import faults
+
+    monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror")
+    assert main(["sweep-worker", "--connect", "127.0.0.1:9"]) == 5
+    err = capsys.readouterr().err
+    assert "start-up" in err
+    assert "coordinator" not in err
+
+
 def test_bench_descend_budget_skips_reference(tmp_path, capsys):
     import json
 

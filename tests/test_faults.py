@@ -8,8 +8,9 @@ mechanism) and then drives injected failures through every hardened seam:
 * serve: dropped/torn responses are healed by the client's retry loop, an
   exploding executor answers a structured error and the daemon stays up,
   queued-out requests honor their ``deadline_ms``;
-* sweep: cells that fail (or whose worker hard-crashes) in round 0 are
-  retried on a fresh pool and succeed in round 1, recorded in ``retries``.
+* sweep: cells that fail (or whose worker hard-crashes) on their first
+  attempt are requeued at the next fault epoch and succeed, recorded in
+  ``retries``; a worker that fails at start-up is respawned one epoch on.
 """
 
 import socket as socket_module
@@ -310,54 +311,32 @@ class TestServeChaos:
 
 
 class TestSweepChaos:
-    def _cells(self):
-        from repro.benchsuite.sweep import make_cells
+    """Chaos through the `--jobs` sweep entry point: the bench API hands the
+    cells to the dispatcher and must surface its healing and its failures."""
 
-        return make_cells("descend", [("transpose", "small", 1)], 1, 0.0)
+    def _sweep(self):
+        from repro.benchsuite.enginebench import run_descend_engine_bench
 
-    def test_cell_failure_is_retried_on_the_next_round(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
-
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
-        assert len(rows) == 1
-        assert rows[0].benchmark == "transpose"
-        assert rows[0].retries == 1  # failed round 0, succeeded round 1
-        assert rows[0].as_dict()["retries"] == 1
+        return run_descend_engine_bench(
+            benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
+        )
 
     def test_worker_crash_is_retried_on_a_fresh_pool(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
-
-        # kind=crash hard-kills the worker (os._exit): the pool breaks, the
-        # orchestrator retries the cell on a fresh pool in round 1.
+        # kind=crash hard-kills the worker (os._exit): the dispatcher spawns
+        # a fresh worker one fault epoch on, which measures the cell.
         monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
-        assert len(rows) == 1
-        assert rows[0].retries == 1
-
-    def test_spawn_failure_is_retried(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
-
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror,epoch=0")
-        rows = run_cells(self._cells(), jobs=1)
-        assert len(rows) == 1
-        assert rows[0].retries == 1
+        result = self._sweep()
+        assert [row.benchmark for row in result.rows] == ["transpose"]
+        assert result.rows[0].retries == 1
+        assert result.rows[0].host  # the fresh worker stamped the row
+        assert result.all_cycles_match
 
     def test_persistent_failure_aborts_loud_with_the_cell_name(self, monkeypatch):
-        from repro.benchsuite.sweep import run_cells
         from repro.errors import BenchmarkError
 
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every round
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every attempt
         with pytest.raises(BenchmarkError, match="transpose/small"):
-            run_cells(self._cells(), jobs=1, max_attempts=2)
-
-    def test_max_attempts_env_override(self, monkeypatch):
-        from repro.benchsuite.sweep import DEFAULT_MAX_ATTEMPTS, default_max_attempts
-
-        monkeypatch.setenv("REPRO_SWEEP_ATTEMPTS", "5")
-        assert default_max_attempts() == 5
-        monkeypatch.setenv("REPRO_SWEEP_ATTEMPTS", "zero")
-        assert default_max_attempts() == DEFAULT_MAX_ATTEMPTS
+            self._sweep()
 
 
 class TestHttpStoreChaos:
@@ -416,13 +395,37 @@ class TestHttpStoreChaos:
 
 
 class TestDispatchChaos:
-    """Chaos at the dispatcher's seams: dropped assignments and killed
-    workers are charged to the cell's retry budget and healed by requeue."""
+    """Chaos at the dispatcher's seams: dropped assignments, failed cells and
+    killed workers are charged to the cell's retry budget and healed by
+    requeue; failed worker start-ups are healed by respawn."""
 
     def _cells(self):
-        from repro.benchsuite.sweep import make_cells
+        from repro.benchsuite.dispatch import make_cells
 
         return make_cells("descend", [("transpose", "small", 1)], 1, 0.0)
+
+    def test_cell_failure_is_retried_with_an_advanced_epoch(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells
+
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc,epoch=0")
+        rows = dispatch_cells(self._cells(), jobs=1)
+        assert len(rows) == 1
+        assert rows[0].benchmark == "transpose"
+        assert rows[0].retries == 1  # failed at epoch 0, succeeded at epoch 1
+        assert rows[0].as_dict()["retries"] == 1
+
+    def test_spawn_failure_heals_on_the_respawned_worker(self, monkeypatch):
+        from repro.benchsuite.dispatch import dispatch_cells
+
+        # The first worker fails its start-up at epoch 0; its replacement
+        # starts one epoch on and measures the cell.  No cell attempt was
+        # lost, so the row records no retry.
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.spawn:kind=oserror,epoch=0")
+        messages = []
+        rows = dispatch_cells(self._cells(), jobs=1, progress=messages.append)
+        assert len(rows) == 1
+        assert rows[0].retries == 0
+        assert any("respawning" in message for message in messages), messages
 
     def test_dropped_assignment_is_requeued(self, monkeypatch):
         from repro.benchsuite.dispatch import dispatch_cells
@@ -440,7 +443,7 @@ class TestDispatchChaos:
         from repro.benchsuite.dispatch import dispatch_cells
 
         # kind=crash hard-kills the worker process mid-cell (os._exit); the
-        # epoch=0 scope means the respawned worker's round-1 attempt — which
+        # epoch=0 scope means the respawned worker's second attempt — which
         # carries the advanced fault epoch — runs clean.
         monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=crash,epoch=0")
         rows = dispatch_cells(self._cells(), jobs=1)
@@ -452,6 +455,6 @@ class TestDispatchChaos:
         from repro.benchsuite.dispatch import dispatch_cells
         from repro.errors import BenchmarkError
 
-        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every round
+        monkeypatch.setenv(faults.ENV_SPEC, "sweep.cell:kind=exc")  # every attempt
         with pytest.raises(BenchmarkError, match="transpose/small"):
             dispatch_cells(self._cells(), jobs=1, max_attempts=2)

@@ -389,15 +389,6 @@ class TestSessionThreadSafety:
 
 
 class TestFacadeSurface:
-    def test_compiler_shims_warn_and_delegate(self):
-        from repro.descend import compiler
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compiled = compiler.compile_source(GOOD_SOURCE, "shim.descend")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert compiled.function_names == ("scale_vec",)
-
     def test_api_compile_source_does_not_warn(self):
         from repro.descend import api
 

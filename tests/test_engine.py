@@ -10,9 +10,11 @@ import pytest
 
 from repro.cudalite.kernels import buggy, matmul, reduce, scan, transpose, vector
 from repro.errors import DeviceMemoryError, LaunchConfigurationError
-from repro.gpusim import CostModel, GpuDevice, RaceDetector, vectorized_impl
+from repro.gpusim import CostModel, CostParameters, GpuDevice, RaceDetector, vectorized_impl
 from repro.gpusim.cost import MemoryAccess
 from repro.gpusim.engine import EXECUTION_MODES, get_engine, resolve_reference, resolve_vectorized
+from repro.gpusim.engine.jit import JitCostModel
+from repro.gpusim.races import RecordedAccess
 
 
 def run_both(run, data):
@@ -266,29 +268,71 @@ class TestRaceInjection:
 
 
 class TestBatchedRecorders:
-    def test_batched_cost_equals_scalar_cost(self, rng):
-        """Feeding identical accesses through both paths gives identical cycles."""
-        scalar = CostModel()
-        batched = CostModel()
-        blocks = rng.integers(0, 4, size=200)
-        warps = rng.integers(0, 2, size=200)
-        slots = rng.integers(0, 6, size=200)
-        addresses = rng.integers(0, 4096, size=200) * 8
-        for space in ("global", "shared"):
-            for block, warp, slot, address in zip(blocks, warps, slots, addresses):
-                scalar.record_access(
-                    MemoryAccess(
-                        block=int(block), warp=int(warp), slot=int(slot),
-                        address=int(address), is_write=False, space=space,
+    def test_batched_cost_equals_scalar_cost(self):
+        """300 seeded launches give identical costs on every recording path.
+
+        Each launch replays the vectorized engine's slot protocol (a lane's
+        slot advances once per access it takes part in) over full-grid
+        uniform, masked and mixed-slot batches in global and shared memory.
+        The scalar ``record_access`` path is the oracle for the batched path
+        of ``CostModel`` and for ``JitCostModel``'s streaming one.
+        """
+        rng = np.random.default_rng(300)
+        params = CostParameters()
+        seen = set()
+        for _ in range(300):
+            warp_size = int(rng.choice([4, 8, 32]))
+            threads_per_block = warp_size * int(rng.integers(1, 3))
+            if rng.random() < 0.15:
+                # A partial last warp keeps JitCostModel off its streaming path.
+                threads_per_block += int(rng.integers(1, warp_size))
+            num_blocks = int(rng.integers(1, 4))
+            lanes = np.arange(num_blocks * threads_per_block)
+            lane_blocks = lanes // threads_per_block
+            lane_warps = (lanes % threads_per_block) // warp_size
+            slots = np.zeros(lanes.size, dtype=np.int64)
+            scalar = CostModel(params)
+            batched = CostModel(params)
+            jit = JitCostModel(params, num_blocks, threads_per_block, warp_size)
+            for _ in range(int(rng.integers(1, 7))):
+                space = str(rng.choice(["global", "shared"]))
+                if rng.random() < 0.5:
+                    active = lanes
+                    kind = "full-uniform" if (slots == slots[0]).all() else "mixed-slot"
+                else:
+                    active = lanes[rng.random(lanes.size) < rng.random()]
+                    kind = "masked"
+                seen.add((kind, space))
+                pattern = int(rng.integers(3))
+                if pattern == 0:
+                    offsets = active + int(rng.integers(0, 40))
+                elif pattern == 1:
+                    offsets = active * int(rng.integers(1, 34))
+                else:
+                    offsets = rng.integers(0, 64, size=active.size)
+                addresses = offsets * int(rng.choice([4, 8]))
+                batch_slots = slots[active].copy()
+                slots[active] += 1
+                is_write = bool(rng.random() < 0.5)
+                for lane, slot, address in zip(active, batch_slots, addresses):
+                    scalar.record_access(
+                        MemoryAccess(
+                            block=int(lane_blocks[lane]), warp=int(lane_warps[lane]),
+                            slot=int(slot), address=int(address),
+                            is_write=is_write, space=space,
+                        )
                     )
-                )
-            batched.record_access_batch(
-                blocks=blocks, warps=warps, slots=slots, addresses=addresses,
-                is_write=False, space=space,
-            )
-        a = scalar.finalize(blocks=4, threads_per_block=64)
-        b = batched.finalize(blocks=4, threads_per_block=64)
-        assert a.summary() == b.summary()
+                for model in (batched, jit):
+                    model.record_access_batch(
+                        blocks=lane_blocks[active], warps=lane_warps[active],
+                        slots=batch_slots, addresses=addresses,
+                        is_write=is_write, space=space,
+                    )
+            expected = scalar.finalize(num_blocks, threads_per_block).summary()
+            assert batched.finalize(num_blocks, threads_per_block).summary() == expected
+            assert jit.finalize(num_blocks, threads_per_block).summary() == expected
+        kinds = ("full-uniform", "masked", "mixed-slot")
+        assert seen == {(kind, space) for kind in kinds for space in ("global", "shared")}
 
     def test_batched_local_space_counts_as_arithmetic(self):
         scalar = CostModel()
@@ -340,6 +384,79 @@ class TestBatchedRecorders:
         self._batch(detector, [0], [0], [0], epoch=0, is_write=True)
         self._batch(detector, [0], [0], [0], epoch=0, is_write=True)
         assert not detector.check()
+
+    def test_batched_races_equal_scalar_races(self):
+        """600 seeded launches: ``record_batch`` finds the scalar path's races.
+
+        The scalar ``record`` path, uncapped, is the oracle: the batched
+        detector must report the first ``max_reports`` of its racy
+        locations in ascending ``(buffer_id, offset)`` order, and every
+        reported pair must conflict.  Inputs cover shuffled epoch order,
+        block-stacked shared offsets (reported within the block), buffer
+        ids of 2**40 and more, negative offsets and a sparse span.
+        """
+        rng = np.random.default_rng(600)
+        buffer_ids = (1, 6, 2 ** 40 + 3, 2 ** 41 + 5)
+        shared_size = 4
+        outcomes = set()
+        for _ in range(600):
+            chosen = rng.choice(len(buffer_ids), size=int(rng.integers(1, 4)), replace=False)
+            buffers = [
+                (buffer_ids[i], str(rng.choice(["dense", "negative", "sparse", "shared"])))
+                for i in chosen
+            ]
+            shared = {bid for bid, kind in buffers if kind == "shared"}
+            num_blocks = int(rng.integers(1, 4))
+            scalar = RaceDetector(max_reports=10 ** 9)
+            batched = RaceDetector(max_reports=int(rng.choice([4, 16])))
+            for _ in range(int(rng.integers(1, 10))):
+                bid, kind = buffers[int(rng.integers(len(buffers)))]
+                n = int(rng.integers(1, 11))
+                blocks = rng.integers(0, num_blocks, size=n)
+                threads = rng.integers(0, 4, size=n)
+                epoch = int(rng.integers(0, 3))
+                is_write = bool(rng.random() < 0.35)
+                report_offsets = None
+                if kind == "dense":
+                    offsets = rng.integers(0, 8, size=n)
+                elif kind == "negative":
+                    offsets = rng.integers(-5, 3, size=n)
+                elif kind == "sparse":
+                    offsets = rng.choice([0, 1, 2 ** 40], size=n)
+                else:
+                    report_offsets = rng.integers(0, shared_size, size=n)
+                    offsets = blocks * shared_size + report_offsets
+                label = f"{kind}{bid}"
+                for offset, block, thread in zip(offsets, blocks, threads):
+                    scalar.record(
+                        RecordedAccess(
+                            buffer_id=bid, offset=int(offset), block=int(block),
+                            thread=int(thread), epoch=epoch, is_write=is_write,
+                            buffer_label=label,
+                        )
+                    )
+                batched.record_batch(
+                    buffer_id=bid, offsets=offsets, blocks=blocks, threads=threads,
+                    epoch=epoch, is_write=is_write, buffer_label=label,
+                    report_offsets=report_offsets,
+                )
+
+            def location(access):
+                # Batched reports show a shared access's within-block offset.
+                if access.buffer_id in shared:
+                    return access.buffer_id, access.block * shared_size + access.offset
+                return access.buffer_id, access.offset
+
+            expected = sorted({(r.first.buffer_id, r.first.offset) for r in scalar.check()})
+            reports = batched.check()
+            assert [location(report.first) for report in reports] == (
+                expected[: batched.max_reports]
+            )
+            for report in reports:
+                assert location(report.second) == location(report.first)
+                assert RaceDetector._conflict(report.first, report.second)
+            outcomes.add(min(len(expected), 1 + (len(expected) > batched.max_reports)))
+        assert outcomes == {0, 1, 2}, "trials must cover no race, some races and a capped list"
 
     def test_batched_access_count(self):
         detector = RaceDetector()

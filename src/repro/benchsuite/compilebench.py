@@ -293,8 +293,8 @@ def bench_dispatch(repeats: int = 3) -> Dict[str, object]:
     inner product runs a ``for-nat`` body per tile element) — on the
     vectorized engine with race detection off and a warm plan-source cache,
     so the wall-clock concentrates on the generated code's slot traffic and
-    runtime-helper calls plus the stock cost accounting.  The report keeps
-    the historical ``dispatch_micro`` field name.
+    runtime-helper calls plus the cost accounting every launch shares.  The
+    report keeps the historical ``dispatch_micro`` field name.
     """
     import numpy as np
 

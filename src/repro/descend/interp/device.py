@@ -376,10 +376,10 @@ class DescendKernel:
     :class:`~repro.descend.plan.ir.DevicePlan` — the serializable plan IR of
     :mod:`repro.descend.plan` — and compiled to generated Python source
     (:class:`~repro.descend.plan.codegen.PlanSource`) that runs as batched
-    numpy operations.  Both modes run the same generated source; they differ
-    only in cost and race accounting.  Functions the plan compiler cannot
-    lower fall back to this per-thread reference interpreter automatically
-    (:attr:`fallback_reason` records why).
+    numpy operations.  Both modes run the same generated source into the
+    same accounting core, so they run identical code.  Functions the plan
+    compiler cannot lower fall back to this per-thread reference interpreter
+    automatically (:attr:`fallback_reason` records why).
 
     Device plans and their generated sources are cached in a
     :class:`~repro.descend.driver.CompileSession` keyed by content hash (and

@@ -95,11 +95,15 @@ class CostModel:
     * :meth:`record_access` — one :class:`MemoryAccess` at a time (the
       per-thread reference interpreter),
     * :meth:`record_access_batch` — numpy arrays covering one vector operation
-      of the warp-vectorized engine.
+      of the vectorized and jit engines.
 
     Both paths produce bit-identical cycle counts: the batched path evaluates
-    the same per-``(block, warp, slot)`` grouping with ``np.unique`` instead
-    of Python dictionaries.
+    the same per-``(block, warp, slot)`` grouping with
+    :func:`~repro.gpusim.grouping.row_group_ids` instead of Python
+    dictionaries.  Launches record into the subclass
+    :class:`~repro.gpusim.engine.jit.JitCostModel`, which folds uniform
+    full-grid batches into running totals as they arrive; only divergent
+    batches reach this class's buffered batched path.
     """
 
     def __init__(self, params: CostParameters = CostParameters()) -> None:

@@ -18,8 +18,9 @@ from repro.errors import DataRaceError, DeviceMemoryError, LaunchConfigurationEr
 from repro.gpusim.buffer import DeviceBuffer, HostBuffer
 from repro.gpusim.cost import CostParameters, KernelCost
 from repro.gpusim.engine import get_engine
+from repro.gpusim.engine.jit import JitCostModel
 from repro.gpusim.launch import Dim3, normalize_dim3
-from repro.gpusim.races import RaceReport
+from repro.gpusim.races import RaceDetector, RaceReport
 
 
 class CopyDirection(enum.Enum):
@@ -176,14 +177,15 @@ class GpuDevice:
 
         mode = execution_mode if execution_mode is not None else self.execution_mode
         engine = get_engine(mode)
-        # The engine picks its accounting implementations (the jit engine
-        # substitutes streaming parity-exact ones); defaults are the stock
-        # CostModel / RaceDetector.
-        cost = engine.make_cost(
-            self.cost_parameters, grid_dim, block_dim, self.properties.warp_size
+        threads_per_block = block_dim[0] * block_dim[1] * block_dim[2]
+        blocks = grid_dim[0] * grid_dim[1] * grid_dim[2]
+        # Every engine records into the same accounting core: the reference
+        # engine through the scalar paths, the others through the batched ones.
+        cost = JitCostModel(
+            self.cost_parameters, blocks, threads_per_block, self.properties.warp_size
         )
         races_enabled = self.detect_races if detect_races is None else detect_races
-        detector = engine.make_races() if races_enabled else None
+        detector = RaceDetector() if races_enabled else None
 
         stats = engine.run(
             kernel=kernel,
@@ -195,8 +197,6 @@ class GpuDevice:
             warp_size=self.properties.warp_size,
         )
 
-        threads_per_block = block_dim[0] * block_dim[1] * block_dim[2]
-        blocks = grid_dim[0] * grid_dim[1] * grid_dim[2]
         result = LaunchResult(
             kernel_name=kernel_name or getattr(kernel, "__name__", "<kernel>"),
             grid_dim=grid_dim,

@@ -16,9 +16,13 @@ engines:
   :func:`vectorized_impl`).
 * ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — runs plan-JIT kernels
   (straight-line Python emitted by the ``lower.plan.codegen`` pass,
-  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``, and
-  substitutes streaming parity-exact cost/race accounting via the engine
-  factory hooks.  Same cycle counts and race verdicts again, faster still.
+  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``.  For
+  Descend programs it runs the same code as ``vectorized``.
+
+All engines share one accounting core: ``GpuDevice.launch`` builds a
+:class:`JitCostModel` and a :class:`~repro.gpusim.races.RaceDetector` for
+every launch.  The reference engine feeds their scalar paths, the others
+their batched ones.
 
 Engines are selected per device (``GpuDevice(execution_mode=...)``) or per
 launch (``device.launch(..., execution_mode=...)``).
@@ -35,7 +39,7 @@ from repro.gpusim.engine.base import (
     resolve_vectorized,
     vectorized_impl,
 )
-from repro.gpusim.engine.jit import JitCostModel, JitEngine, JitRaceDetector
+from repro.gpusim.engine.jit import JitCostModel, JitEngine
 from repro.gpusim.engine.reference import ReferenceEngine
 from repro.gpusim.engine.vectorized import VecCtx, VecLocalBuffer, VecSharedBuffer, VectorizedEngine
 
@@ -45,7 +49,6 @@ __all__ = [
     "ExecutionEngine",
     "JitCostModel",
     "JitEngine",
-    "JitRaceDetector",
     "ReferenceEngine",
     "VecCtx",
     "VecLocalBuffer",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import LaunchConfigurationError
-from repro.gpusim.cost import CostModel, CostParameters
+from repro.gpusim.cost import CostModel
 from repro.gpusim.races import RaceDetector
 
 Dim3 = Tuple[int, int, int]
@@ -44,24 +44,6 @@ class ExecutionEngine(abc.ABC):
         warp_size: int = 32,
     ) -> EngineStats:
         """Execute every thread of the launch; mutates buffers in ``args``."""
-
-    # -- accounting factories ---------------------------------------------------
-    # The device asks the engine for its cost model and race detector so an
-    # engine can substitute parity-exact faster implementations (the jit
-    # engine's streaming accounting); the defaults are the stock classes.
-    def make_cost(
-        self,
-        params: CostParameters,
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        warp_size: int,
-    ) -> CostModel:
-        """The cost model one launch under this engine records into."""
-        return CostModel(params)
-
-    def make_races(self) -> RaceDetector:
-        """The race detector one launch under this engine records into."""
-        return RaceDetector()
 
 
 def vectorized_impl(reference_kernel: Callable) -> Callable[[Callable], Callable]:

@@ -1,43 +1,30 @@
-"""The jit execution engine: codegen'd kernels + streaming exact accounting.
+"""The jit execution engine and the streaming cost model every launch uses.
 
 This engine runs plan-JIT kernels (straight-line Python emitted by
 :mod:`repro.descend.plan.codegen`, registered with
 :func:`~repro.gpusim.engine.base.jit_impl`) over the same grid-wide
-:class:`~repro.gpusim.engine.vectorized.VecCtx` the vectorized engine uses —
-the recording surface is identical, so cycle counts and race verdicts are
-identical by construction.
+:class:`~repro.gpusim.engine.vectorized.VecCtx` the vectorized engine uses.
+For Descend programs the ``vectorized`` engine runs the same generated code
+into the same accounting, so the two engines now run identical code.
 
-For Descend programs the ``vectorized`` engine runs the same generated code,
-so what makes this engine faster is its accounting: on the heavy bench rows
-most of the vectorized wall-clock is the *end-of-launch analysis*
-(``np.unique`` grouping over every recorded access in
-:meth:`CostModel._batched_global_transactions` /
-:meth:`RaceDetector._check_batches`).  The jit engine therefore substitutes
-two parity-exact accounting implementations via the engine factory hooks
-(:meth:`ExecutionEngine.make_cost` / :meth:`make_races`):
-
-* :class:`JitCostModel` folds *uniform full-grid* batches (every lane
-  active, all lanes at the same slot counter — the common case for
-  straight-line plan code) into running totals **at record time** with one
-  cheap per-warp-row pass, instead of buffering them for a global sort.
-  Correctness: a full-grid batch at uniform slot ``s`` consumes slot ``s``
-  of *every* lane, so its ``(block, warp, s)`` groups can never be joined by
-  any other batch — per-batch group counts add exactly.  Non-qualifying
-  (divergent) batches take the stock buffered path; the totals sum.
-* :class:`JitRaceDetector` replaces the ~10 ``np.unique`` passes of the
-  stock batched analysis with **one** sort of a packed
-  ``(buffer, offset, block, epoch, thread)`` integer key, deriving every
-  grouping from boundary flags on the single permutation.  Group identities,
-  the dense-rank iteration order of racy locations, and the reported access
-  pairs (via the inherited :meth:`RaceDetector._pair_for_location`) are all
-  identical to the stock detector; keys that cannot pack into 63 bits fall
-  back to the inherited analysis.
+:class:`JitCostModel` is the cost model :meth:`GpuDevice.launch
+<repro.gpusim.device.GpuDevice.launch>` builds for every launch, whatever the
+engine.  It folds *uniform full-grid* batches (every lane active, all lanes at
+the same slot counter — the common case for straight-line code) into running
+totals **at record time** with one cheap per-warp-row pass, instead of
+buffering them for a global grouping.  Correctness: a full-grid batch at
+uniform slot ``s`` consumes slot ``s`` of *every* lane, so its
+``(block, warp, s)`` groups can never be joined by any other batch — per-batch
+group counts add exactly.  Non-qualifying (divergent) batches take
+:class:`~repro.gpusim.cost.CostModel`'s buffered path; the totals sum.  The
+reference engine records through the scalar paths only, so its results are
+those of the plain ``CostModel``.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +32,7 @@ from repro.errors import LaunchConfigurationError
 from repro.gpusim.cost import CostModel, CostParameters, KernelCost
 from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine, resolve_jit
 from repro.gpusim.engine.vectorized import VecCtx
-from repro.gpusim.races import RaceDetector, RaceReport
+from repro.gpusim.races import RaceDetector
 
 
 class JitCostModel(CostModel):
@@ -137,108 +124,8 @@ class JitCostModel(CostModel):
         return result
 
 
-class JitRaceDetector(RaceDetector):
-    """Race detector whose batched analysis is one packed-key sort."""
-
-    #: Packed keys must stay within int64 (sign bit spare).
-    _MAX_KEY = 1 << 62
-
-    def _check_batches(self, limit: int) -> List[RaceReport]:
-        bid, off, roff, blk, thr, epo, wrt = self._batch_columns()
-        key = self._packed_key((bid, off, blk, epo, thr))
-        if key is None:
-            return super()._check_batches(limit)
-
-        order = np.argsort(key, kind="stable")
-        b_s, o_s = bid[order], off[order]
-        k_s, e_s, t_s = blk[order], epo[order], thr[order]
-
-        # Boundary flags on the one sorted permutation give every grouping
-        # the stock analysis builds with repeated np.unique passes.  The key
-        # sorts lexicographically by (buffer, offset, block, epoch, thread),
-        # so each refinement only adds its own column's changes.
-        loc_start = np.ones(len(key), dtype=bool)
-        loc_start[1:] = (b_s[1:] != b_s[:-1]) | (o_s[1:] != o_s[:-1])
-        pair_start = loc_start.copy()
-        pair_start[1:] |= k_s[1:] != k_s[:-1]
-        group_start = pair_start.copy()
-        group_start[1:] |= e_s[1:] != e_s[:-1]
-        member_start = group_start.copy()
-        member_start[1:] |= t_s[1:] != t_s[:-1]
-
-        loc_ids_sorted = np.cumsum(loc_start) - 1
-        n_locs = int(loc_ids_sorted[-1]) + 1
-        group_ids_sorted = np.cumsum(group_start) - 1
-        n_groups = int(group_ids_sorted[-1]) + 1
-
-        w_s = wrt[order]
-        has_write = np.zeros(n_locs, dtype=bool)
-        has_write[loc_ids_sorted[w_s]] = True
-
-        # Cross-block rule: >= 2 distinct blocks at one location + a write.
-        blocks_per_loc = np.bincount(loc_ids_sorted[pair_start], minlength=n_locs)
-        racy_locs = (blocks_per_loc >= 2) & has_write
-
-        # Same-(block, epoch) rule: >= 2 distinct threads + a write.
-        threads_per_group = np.bincount(group_ids_sorted[member_start], minlength=n_groups)
-        group_has_write = np.zeros(n_groups, dtype=bool)
-        group_has_write[group_ids_sorted[w_s]] = True
-        racy_groups = (threads_per_group >= 2) & group_has_write
-        loc_of_group = loc_ids_sorted[np.nonzero(group_start)[0]]
-        racy_locs[loc_of_group[racy_groups]] = True
-
-        if not racy_locs.any():
-            return []
-
-        labels = {batch.buffer_id: batch.buffer_label for batch in self._batches}
-
-        def materialize(i: int):
-            from repro.gpusim.races import RecordedAccess
-
-            return RecordedAccess(
-                buffer_id=int(bid[i]),
-                offset=int(roff[i]),
-                block=int(blk[i]),
-                thread=int(thr[i]),
-                epoch=int(epo[i]),
-                is_write=bool(wrt[i]),
-                buffer_label=labels.get(int(bid[i]), ""),
-            )
-
-        # Dense loc ids follow sorted (buffer, offset) order — the same order
-        # row_group_ids assigns — so reports come out in the stock order; and
-        # feeding _pair_for_location lanes in ascending record order makes
-        # the chosen pairs identical too.
-        reports: List[RaceReport] = []
-        for loc in np.nonzero(racy_locs)[0]:
-            lanes = np.sort(order[loc_ids_sorted == loc])
-            pair = self._pair_for_location(lanes, blk, thr, epo, wrt)
-            if pair is not None:
-                reports.append(RaceReport(materialize(pair[0]), materialize(pair[1])))
-            if len(reports) >= limit:
-                break
-        return reports
-
-    @classmethod
-    def _packed_key(cls, columns) -> Optional[np.ndarray]:
-        """One int64 lexicographic key over ``columns`` (or ``None`` if it
-        cannot pack: negative values or > 62 bits of combined range)."""
-        key = np.zeros(len(columns[0]), dtype=np.int64)
-        radix = 1
-        for column in columns:
-            column = np.asarray(column, dtype=np.int64)
-            if column.size == 0 or int(column.min()) < 0:
-                return None
-            width = int(column.max()) + 1
-            radix *= width  # exact Python-int arithmetic for the bound check
-            if radix > cls._MAX_KEY:
-                return None
-            key = key * np.int64(width) + column
-        return key
-
-
 class JitEngine(ExecutionEngine):
-    """Runs codegen'd plan kernels with streaming accounting."""
+    """Runs codegen'd plan kernels over a grid-wide :class:`VecCtx`."""
 
     name = "jit"
 
@@ -266,17 +153,3 @@ class JitEngine(ExecutionEngine):
                 "jit kernels must be plain functions that call ctx.sync(), not generators"
             )
         return EngineStats(barriers=ctx.barriers)
-
-    def make_cost(
-        self,
-        params: CostParameters,
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        warp_size: int,
-    ) -> CostModel:
-        num_blocks = grid_dim[0] * grid_dim[1] * grid_dim[2]
-        threads_per_block = block_dim[0] * block_dim[1] * block_dim[2]
-        return JitCostModel(params, num_blocks, threads_per_block, warp_size)
-
-    def make_races(self) -> RaceDetector:
-        return JitRaceDetector()

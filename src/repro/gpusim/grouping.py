@@ -1,4 +1,10 @@
-"""Vectorized group-by helpers shared by the batched cost model and race detector.
+"""Vectorized group-by for the cost model's divergent-batch path.
+
+:meth:`CostModel._batched_global_transactions
+<repro.gpusim.cost.CostModel._batched_global_transactions>` and
+``_batched_shared_cycles`` group the batches that
+:class:`~repro.gpusim.engine.jit.JitCostModel` cannot fold as they arrive
+(masked or mixed-slot ones) by ``(block, warp, slot, ...)``.
 
 ``np.unique(rows, axis=0)`` sorts structured rows, which is an order of
 magnitude slower than 1-D integer sorts.  :func:`row_group_ids` instead folds

@@ -16,21 +16,27 @@ the Descend type checker rejects the equivalent program *statically*.
 
 Accesses arrive one at a time (:meth:`RaceDetector.record`, the per-thread
 reference interpreter) or as whole numpy batches
-(:meth:`RaceDetector.record_batch`, the warp-vectorized engine).  Batches are
-analysed with vectorized grouping in :meth:`RaceDetector.check`; only the
-few locations that actually race are materialised into
-:class:`RecordedAccess` objects for reporting.
+(:meth:`RaceDetector.record_batch`, the vectorized and jit engines).  Every
+engine's launch records into one :class:`RaceDetector`.  Batches are analysed
+in :meth:`RaceDetector.check` by a sort-free pass: dense location ids, one
+scatter/gather for the cross-block rule, and one representative thread per
+location and epoch for the same-block rule.  Only the few locations that
+actually race are materialised into :class:`RecordedAccess` objects for
+reporting, in ascending ``(buffer_id, offset)`` order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, List, Optional, Tuple
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gpusim.grouping import group_representatives, row_group_ids
+#: A buffer's offsets index its location arrays directly while their span is at
+#: most this many slots per recorded access, or at most ``_SPAN_FLOOR``.
+_SPAN_PER_ACCESS = 2
+_SPAN_FLOOR = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -165,30 +171,8 @@ class RaceDetector:
         return reports
 
     # -- batched analysis -------------------------------------------------------
-    def _batch_columns(self):
-        sizes = [len(batch.offsets) for batch in self._batches]
-        bid = np.concatenate(
-            [np.full(n, batch.buffer_id, dtype=np.int64) for batch, n in zip(self._batches, sizes)]
-        )
-        off = np.concatenate([batch.offsets for batch in self._batches])
-        roff = np.concatenate(
-            [
-                batch.offsets if batch.report_offsets is None else batch.report_offsets
-                for batch in self._batches
-            ]
-        )
-        blk = np.concatenate([batch.blocks for batch in self._batches])
-        thr = np.concatenate([batch.threads for batch in self._batches])
-        epo = np.concatenate(
-            [np.full(n, batch.epoch, dtype=np.int64) for batch, n in zip(self._batches, sizes)]
-        )
-        wrt = np.concatenate(
-            [np.full(n, batch.is_write, dtype=bool) for batch, n in zip(self._batches, sizes)]
-        )
-        return bid, off, roff, blk, thr, epo, wrt
-
     def _check_batches(self, limit: int) -> List[RaceReport]:
-        """Vectorized race detection over all batches.
+        """Sort-free race detection over all batches.
 
         A location ``(buffer, offset)`` races iff
 
@@ -196,54 +180,138 @@ class RaceDetector:
           accesses are never ordered), or
         * within one ``(block, epoch)`` group, >= 2 distinct threads access it
           and at least one writes (nothing orders threads between barriers).
+
+        Both rules run as scatter/gather passes over dense location ids
+        (:meth:`_location_ids`).  The second keeps one representative thread
+        per location and epoch instead of grouping by block as well: two
+        threads of different blocks only meet at a location the first rule
+        already flags, because the epoch's write makes it a written
+        location touched by two blocks.
         """
-        bid, off, roff, blk, thr, epo, wrt = self._batch_columns()
+        batches = self._batches
+        sizes = np.array([len(batch.offsets) for batch in batches], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        locs = np.concatenate([batch.offsets for batch in batches])
+        n_locs = self._location_ids(locs, starts, ends)
+        blocks = np.concatenate([batch.blocks for batch in batches])
+        threads = np.concatenate([batch.threads for batch in batches])
 
-        loc_ids, n_locs = row_group_ids(bid, off)
-        has_write = np.zeros(n_locs, dtype=bool)
-        has_write[loc_ids[wrt]] = True
+        # Cross-block: a written location where some access's block differs
+        # from the block last scattered to that location.
+        first_block = np.empty(n_locs, dtype=np.int64)
+        first_block[locs] = blocks
+        racy = np.zeros(n_locs, dtype=bool)
+        racy[locs[blocks != first_block[locs]]] = True
+        written = np.zeros(n_locs, dtype=bool)
+        for batch, start, end in zip(batches, starts, ends):
+            if batch.is_write:
+                written[locs[start:end]] = True
+        racy &= written
 
-        # Cross-block: locations touched by >= 2 blocks with at least one write.
-        loc_block_ids, n_loc_blocks = row_group_ids(loc_ids, blk)
-        loc_of_pair = group_representatives(loc_block_ids, n_loc_blocks, loc_ids)
-        blocks_per_loc = np.bincount(loc_of_pair, minlength=n_locs)
-        racy_locs = (blocks_per_loc >= 2) & has_write
+        # Same epoch: at the locations written in the epoch, >= 2 threads.
+        epochs: Dict[int, List[int]] = {}
+        for index, batch in enumerate(batches):
+            epochs.setdefault(batch.epoch, []).append(index)
+        tag = np.full(n_locs, -1, dtype=np.int64)
+        representative = np.empty(n_locs, dtype=np.int64)
+        for epoch_tag, members in enumerate(epochs.values()):
+            writes = [i for i in members if batches[i].is_write]
+            if not writes:
+                continue
+            for i in writes:
+                tag[locs[starts[i]:ends[i]]] = epoch_tag
+            lanes, who = self._epoch_lanes(members, starts, ends, locs, threads)
+            hit = tag[lanes] == epoch_tag
+            lanes, who = lanes[hit], who[hit]
+            representative[lanes] = who
+            racy[lanes[who != representative[lanes]]] = True
 
-        # Same block, same epoch: >= 2 distinct threads with at least one write.
-        group_ids, n_groups = row_group_ids(loc_ids, blk, epo)
-        member_ids, n_members = row_group_ids(group_ids, thr)
-        group_of_member = group_representatives(member_ids, n_members, group_ids)
-        threads_per_group = np.bincount(group_of_member, minlength=n_groups)
-        group_has_write = np.zeros(n_groups, dtype=bool)
-        group_has_write[group_ids[wrt]] = True
-        racy_groups = (threads_per_group >= 2) & group_has_write
-        loc_of_group = group_representatives(group_ids, n_groups, loc_ids)
-        racy_locs[loc_of_group[racy_groups]] = True
-
-        if not racy_locs.any():
+        if not racy.any():
             return []
-
-        labels = {batch.buffer_id: batch.buffer_label for batch in self._batches}
+        bid, roff, epo, wrt = self._batch_columns(sizes)
+        labels = {batch.buffer_id: batch.buffer_label for batch in batches}
 
         def materialize(i: int) -> RecordedAccess:
             return RecordedAccess(
                 buffer_id=int(bid[i]),
                 offset=int(roff[i]),
-                block=int(blk[i]),
-                thread=int(thr[i]),
+                block=int(blocks[i]),
+                thread=int(threads[i]),
                 epoch=int(epo[i]),
                 is_write=bool(wrt[i]),
                 buffer_label=labels.get(int(bid[i]), ""),
             )
 
+        # Location ids ascend with (buffer_id, offset), and so do the reports.
         reports: List[RaceReport] = []
-        for loc in np.nonzero(racy_locs)[0]:
-            pair = self._pair_for_location(np.nonzero(loc_ids == loc)[0], blk, thr, epo, wrt)
+        for loc in np.flatnonzero(racy):
+            lanes = np.flatnonzero(locs == loc)
+            pair = self._pair_for_location(lanes, blocks, threads, epo, wrt)
             if pair is not None:
                 reports.append(RaceReport(materialize(pair[0]), materialize(pair[1])))
             if len(reports) >= limit:
                 break
         return reports
+
+    def _location_ids(self, locs: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int:
+        """Rewrite the concatenated offsets ``locs`` into location ids in place.
+
+        Each buffer gets its own block of ids, buffers in ascending id order,
+        so ids ascend with ``(buffer_id, offset)``.  Within a buffer the id is
+        the offset minus the buffer's lowest one: a direct index whenever the
+        span stays within ``_SPAN_PER_ACCESS`` slots per access (or
+        ``_SPAN_FLOOR``).  A sparser buffer is ranked by ``np.unique`` instead,
+        so the per-location arrays stay proportional to the accesses recorded.
+        Returns the number of ids.
+        """
+        lows = np.minimum.reduceat(locs, starts)
+        highs = np.maximum.reduceat(locs, starts)
+        by_buffer: Dict[int, List[int]] = {}
+        for index, batch in enumerate(self._batches):
+            by_buffer.setdefault(batch.buffer_id, []).append(index)
+        n_locs = 0
+        for buffer_id in sorted(by_buffer):
+            members = by_buffer[buffer_id]
+            low = int(lows[members].min())
+            span = int(highs[members].max()) - low + 1
+            count = int((ends[members] - starts[members]).sum())
+            if span <= max(_SPAN_PER_ACCESS * count, _SPAN_FLOOR):
+                for i in members:
+                    locs[starts[i]:ends[i]] += n_locs - low
+                n_locs += span
+                continue
+            lanes = np.concatenate([np.arange(starts[i], ends[i]) for i in members])
+            distinct, ranks = np.unique(locs[lanes], return_inverse=True)
+            locs[lanes] = ranks.reshape(-1) + n_locs
+            n_locs += distinct.size
+        return n_locs
+
+    @staticmethod
+    def _epoch_lanes(members, starts, ends, locs, threads):
+        """Location ids and threads of one epoch's batches (views when the
+        batches were recorded back to back, as the engines record them)."""
+        first, last = members[0], members[-1]
+        if last - first + 1 == len(members):
+            return locs[starts[first]:ends[last]], threads[starts[first]:ends[last]]
+        return (
+            np.concatenate([locs[starts[i]:ends[i]] for i in members]),
+            np.concatenate([threads[starts[i]:ends[i]] for i in members]),
+        )
+
+    def _batch_columns(self, sizes: np.ndarray):
+        """Per-lane buffer id, report offset, epoch and direction (reports only)."""
+        batches = self._batches
+        bid = np.repeat([batch.buffer_id for batch in batches], sizes)
+        roff = np.concatenate(
+            [
+                batch.offsets if batch.report_offsets is None else batch.report_offsets
+                for batch in batches
+            ]
+        )
+        epo = np.repeat([batch.epoch for batch in batches], sizes)
+        wrt = np.repeat([batch.is_write for batch in batches], sizes)
+        return bid, roff, epo, wrt
 
     @staticmethod
     def _pair_for_location(lanes, blk, thr, epo, wrt):

@@ -428,9 +428,8 @@ class TestEngineDifferential:
             assert launch.execution_mode == engine, kernel.fallback_reason
             results[engine] = [_normalized(r) for r in launch.races]
         assert results["jit"], "expected the racy program to race"
-        # The jit detector replays the same batched analysis as the stock
-        # detector the vectorized engine uses: identical reports in
-        # identical order.
+        # Both engines run the same generated source into the same
+        # RaceDetector: identical reports in identical order.
         assert results["jit"] == results["vectorized"]
         # The reference engine records accesses one lane at a time, so its
         # report order may differ, but the set of racing pairs must agree.

@@ -221,7 +221,8 @@ class RaceDetector:
                 continue
             for i in writes:
                 tag[locs[starts[i]:ends[i]]] = epoch_tag
-            lanes, who = self._epoch_lanes(members, starts, ends, locs, threads)
+            lanes = np.concatenate([locs[starts[i]:ends[i]] for i in members])
+            who = np.concatenate([threads[starts[i]:ends[i]] for i in members])
             hit = tag[lanes] == epoch_tag
             lanes, who = lanes[hit], who[hit]
             representative[lanes] = who
@@ -286,18 +287,6 @@ class RaceDetector:
             locs[lanes] = ranks.reshape(-1) + n_locs
             n_locs += distinct.size
         return n_locs
-
-    @staticmethod
-    def _epoch_lanes(members, starts, ends, locs, threads):
-        """Location ids and threads of one epoch's batches (views when the
-        batches were recorded back to back, as the engines record them)."""
-        first, last = members[0], members[-1]
-        if last - first + 1 == len(members):
-            return locs[starts[first]:ends[last]], threads[starts[first]:ends[last]]
-        return (
-            np.concatenate([locs[starts[i]:ends[i]] for i in members]),
-            np.concatenate([threads[starts[i]:ends[i]] for i in members]),
-        )
 
     def _batch_columns(self, sizes: np.ndarray):
         """Per-lane buffer id, report offset, epoch and direction (reports only)."""

@@ -269,39 +269,59 @@ class TestRaceInjection:
 
 class TestBatchedRecorders:
     def test_batched_cost_equals_scalar_cost(self):
-        """300 seeded launches give identical costs on every recording path.
+        """Seeded launches give identical costs on every recording path.
 
         Each launch replays the vectorized engine's slot protocol (a lane's
         slot advances once per access it takes part in) over full-grid
-        uniform, masked and mixed-slot batches in global and shared memory.
+        uniform, masked, single-lane and mixed-slot batches in global and
+        shared memory, with 32- to 256-byte segments, 8 to 32 banks and 4-
+        or 8-byte bank widths.  300 small launches are followed by a few
+        large ones: grids of about 70 blocks with a partial last warp,
+        launches of a few hundred batches, and sparse launches whose block
+        ids and some addresses lie at 2**50 and beyond, so the spans of
+        their ``(block, warp, slot, segment)`` columns multiply past 2**62.
         The scalar ``record_access`` path is the oracle for the batched path
         of ``CostModel`` and for ``JitCostModel``'s streaming one.
         """
         rng = np.random.default_rng(300)
-        params = CostParameters()
         seen = set()
-        for _ in range(300):
-            warp_size = int(rng.choice([4, 8, 32]))
+        wide_launches = 0
+        for shape in ["small"] * 300 + ["grid", "long", "sparse"] * 2:
+            params = CostParameters(
+                global_segment_bytes=int(rng.choice([32, 64, 128, 256])),
+                shared_banks=int(rng.choice([8, 16, 32])),
+                shared_bank_width=int(rng.choice([4, 8])),
+            )
+            warp_size = int(rng.choice([4, 8, 32] if shape == "small" else [4, 8]))
             threads_per_block = warp_size * int(rng.integers(1, 3))
-            if rng.random() < 0.15:
+            if shape in ("grid", "sparse") or rng.random() < 0.15:
                 # A partial last warp keeps JitCostModel off its streaming path.
                 threads_per_block += int(rng.integers(1, warp_size))
-            num_blocks = int(rng.integers(1, 4))
+            wide_grid = shape in ("grid", "sparse")
+            num_blocks = int(rng.integers(64, 77) if wide_grid else rng.integers(1, 4))
+            num_batches = int(rng.integers(200, 400) if shape == "long" else rng.integers(1, 7))
             lanes = np.arange(num_blocks * threads_per_block)
             lane_blocks = lanes // threads_per_block
+            if shape == "sparse":
+                lane_blocks = lane_blocks << 50
             lane_warps = (lanes % threads_per_block) // warp_size
             slots = np.zeros(lanes.size, dtype=np.int64)
             scalar = CostModel(params)
             batched = CostModel(params)
             jit = JitCostModel(params, num_blocks, threads_per_block, warp_size)
-            for _ in range(int(rng.integers(1, 7))):
+            global_batches = []
+            for _ in range(num_batches):
                 space = str(rng.choice(["global", "shared"]))
-                if rng.random() < 0.5:
+                draw = rng.random()
+                if draw < 0.45:
                     active = lanes
                     kind = "full-uniform" if (slots == slots[0]).all() else "mixed-slot"
-                else:
+                elif draw < 0.9:
                     active = lanes[rng.random(lanes.size) < rng.random()]
                     kind = "masked"
+                else:
+                    active = lanes[rng.integers(lanes.size, size=1)]
+                    kind = "single-lane"
                 seen.add((kind, space))
                 pattern = int(rng.integers(3))
                 if pattern == 0:
@@ -311,6 +331,9 @@ class TestBatchedRecorders:
                 else:
                     offsets = rng.integers(0, 64, size=active.size)
                 addresses = offsets * int(rng.choice([4, 8]))
+                if shape == "sparse":
+                    far = rng.random(active.size) < 0.3
+                    addresses[far] = rng.integers(2**50, 2**62, size=int(far.sum()))
                 batch_slots = slots[active].copy()
                 slots[active] += 1
                 is_write = bool(rng.random() < 0.5)
@@ -328,11 +351,25 @@ class TestBatchedRecorders:
                         slots=batch_slots, addresses=addresses,
                         is_write=is_write, space=space,
                     )
+                if space == "global" and active.size:
+                    segments = addresses // params.global_segment_bytes
+                    global_batches.append(
+                        (lane_blocks[active], lane_warps[active], batch_slots, segments)
+                    )
+            if global_batches:
+                spans = [
+                    int(column.max()) - int(column.min()) + 1
+                    for column in map(np.concatenate, zip(*global_batches))
+                ]
+                wide_launches += int(np.prod(spans, dtype=object) >= 2**62)
             expected = scalar.finalize(num_blocks, threads_per_block).summary()
             assert batched.finalize(num_blocks, threads_per_block).summary() == expected
             assert jit.finalize(num_blocks, threads_per_block).summary() == expected
-        kinds = ("full-uniform", "masked", "mixed-slot")
+        kinds = ("full-uniform", "masked", "mixed-slot", "single-lane")
         assert seen == {(kind, space) for kind in kinds for space in ("global", "shared")}
+        # At least one launch folds past int64's safe range, so the ranking
+        # fallback of the batched path runs.
+        assert wide_launches > 0
 
     def test_batched_local_space_counts_as_arithmetic(self):
         scalar = CostModel()

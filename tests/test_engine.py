@@ -8,7 +8,7 @@ race verdicts as the per-thread reference interpreter.
 import numpy as np
 import pytest
 
-from repro.cudalite.kernels import buggy, matmul, reduce, scan, transpose, vector
+from repro.cudalite.kernels import buggy, histogram, matmul, reduce, scan, stencil, transpose, vector
 from repro.errors import DeviceMemoryError, LaunchConfigurationError
 from repro.gpusim import CostModel, CostParameters, GpuDevice, RaceDetector, vectorized_impl
 from repro.gpusim.cost import MemoryAccess
@@ -141,6 +141,49 @@ class TestKernelParity:
         out = run_both(run, (a, b))
         assert_parity(out)
         assert np.allclose(out["vectorized"][0], a @ b)
+
+    def test_histogram(self, rng):
+        # 16-thread blocks hold a partial warp, so every access of both
+        # kernels takes the cost model's buffered batched path.
+        n, bins, blocks = 512, 16, 4
+        keys = rng.integers(0, bins, n).astype(np.float64)
+
+        def run(device, data):
+            keys_buf = device.to_device(data)
+            partials_buf = device.malloc((blocks * bins,))
+            bins_buf = device.malloc((bins,))
+            first = device.launch(
+                histogram.histogram_partials_kernel, grid_dim=(blocks,), block_dim=(bins,),
+                args=(keys_buf, partials_buf, n // blocks),
+            )
+            second = device.launch(
+                histogram.combine_bins_kernel, grid_dim=(1,), block_dim=(bins,),
+                args=(partials_buf, bins_buf, blocks),
+            )
+            return device.to_host(bins_buf), [first, second]
+
+        out = run_both(run, keys)
+        assert_parity(out)
+        assert np.array_equal(
+            out["vectorized"][0], np.bincount(keys.astype(np.int64), minlength=bins)
+        )
+
+    def test_stencil(self, rng):
+        n, block_size = 256, 32
+        data = rng.random(n + 2)
+
+        def run(device, data):
+            input_buf = device.to_device(data)
+            output_buf = device.malloc((n,))
+            launch = device.launch(
+                stencil.stencil3_kernel, grid_dim=(n // block_size,), block_dim=(block_size,),
+                args=(input_buf, output_buf),
+            )
+            return device.to_host(output_buf), [launch]
+
+        out = run_both(run, data)
+        assert_parity(out)
+        assert np.allclose(out["vectorized"][0], (data[:-2] + data[1:-1] + data[2:]) / 3.0)
 
     @pytest.mark.parametrize(
         "kernel,extra", [

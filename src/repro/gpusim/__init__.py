@@ -12,10 +12,10 @@ simulator with
   transactions and shared-memory bank conflicts (:mod:`repro.gpusim.cost`),
 * a device front-end with ``malloc`` / ``memcpy`` / ``launch``
   (:mod:`repro.gpusim.device`),
-* two interchangeable execution engines (:mod:`repro.gpusim.engine`): the
-  per-thread ``"reference"`` interpreter and the lockstep ``"vectorized"``
-  engine, which produces identical cycle counts an order of magnitude
-  faster.
+* three interchangeable execution engines (:mod:`repro.gpusim.engine`):
+  ``"reference"`` (per thread), ``"vectorized"`` (lockstep) and ``"jit"``
+  (generated plan source), which record into one accounting core and give
+  identical cycle counts; the last two are an order of magnitude faster.
 
 Kernels are Python *generator functions* ``kernel(ctx, *args)``; ``yield``
 acts as ``__syncthreads()``.  Both the handwritten CUDA-lite baselines and

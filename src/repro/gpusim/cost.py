@@ -27,7 +27,8 @@ from typing import DefaultDict, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.gpusim.grouping import group_representatives, row_group_ids
+#: Folded keys stay below this bound, so no product of spans overflows int64.
+_KEY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,12 @@ class CostModel:
       of the vectorized and jit engines.
 
     Both paths produce bit-identical cycle counts: the batched path evaluates
-    the same per-``(block, warp, slot)`` grouping with
-    :func:`~repro.gpusim.grouping.row_group_ids` instead of Python
-    dictionaries.  Launches record into the subclass
+    the same per-``(block, warp, slot)`` grouping with one folded int64 key
+    per access (:func:`_fold`) and one sort per memory space instead of
+    Python dictionaries.  Launches record into the subclass
     :class:`~repro.gpusim.engine.jit.JitCostModel`, which folds uniform
-    full-grid batches into running totals as they arrive; only divergent
-    batches reach this class's buffered batched path.
+    full-grid batches into running totals as they arrive; the rest (masked,
+    mixed-slot, or in blocks with a partial warp) reach this buffered path.
     """
 
     def __init__(self, params: CostParameters = CostParameters()) -> None:
@@ -198,26 +199,34 @@ class CostModel:
             return 0
         blocks, warps, slots, addresses = self._concat_batches(self._global_batches)
         segments = addresses // self.params.global_segment_bytes
-        _, transactions = row_group_ids(blocks, warps, slots, segments)
-        return transactions
+        key, _ = _fold((blocks, warps, slots, segments))
+        key.sort()
+        return int(_run_starts(key).size)
 
     def _batched_shared_cycles(self) -> float:
-        """Bank-conflict serialisation over batched accesses (same formula)."""
+        """Bank-conflict serialisation over batched accesses (same formula).
+
+        Once the ``(group, bank, address)`` keys are sorted, ``group`` being
+        ``(block, warp, slot)``, a run of equal group and bank holds the
+        bank's distinct addresses, and each group's worst bank serialises the
+        warp.  Exact while ``accesses ** 2 * banks < 2 ** 62``.
+        """
         if not self._shared_batches:
             return 0.0
+        params = self.params
         blocks, warps, slots, addresses = self._concat_batches(self._shared_batches)
-        banks = (addresses // self.params.shared_bank_width) % self.params.shared_banks
-        warp_ids, n_warp_groups = row_group_ids(blocks, warps, slots)
-        bank_ids, n_bank_groups = row_group_ids(warp_ids, banks)
-        warp_of_bank = group_representatives(bank_ids, n_bank_groups, warp_ids)
-        # distinct addresses per (warp group, bank) ...
-        addr_ids, n_addr_groups = row_group_ids(bank_ids, addresses)
-        bank_of_addr = group_representatives(addr_ids, n_addr_groups, bank_ids)
-        per_bank_counts = np.bincount(bank_of_addr, minlength=n_bank_groups)
-        # ... and the worst bank per warp group serialises the warp
-        conflict = np.zeros(n_warp_groups, dtype=np.int64)
-        np.maximum.at(conflict, warp_of_bank, per_bank_counts)
-        return float(self.params.shared_access_cost * conflict.sum())
+        banks = (addresses // params.shared_bank_width) % params.shared_banks
+        group, _ = _fold((blocks, warps, slots))
+        if (int(group.max()) + 1) * params.shared_banks * group.size >= _KEY_LIMIT:
+            group, _ = _rank(group)
+        key, (_, n_banks, n_addresses) = _fold((group, banks, addresses))
+        key.sort()
+        distinct = key[_run_starts(key)]
+        bank_key = distinct // n_addresses
+        bank_starts = _run_starts(bank_key)
+        per_bank = np.diff(bank_starts, append=distinct.size)
+        worst = np.maximum.reduceat(per_bank, _run_starts(bank_key[bank_starts] // n_banks))
+        return float(params.shared_access_cost * worst.sum())
 
     def finalize(self, blocks: int, threads_per_block: int) -> KernelCost:
         """Convert the recorded events into a kernel cost estimate."""
@@ -252,3 +261,42 @@ class CostModel:
             threads_per_block=threads_per_block,
             cycles=cycles,
         )
+
+
+def _rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense, order-preserving ranks of ``values`` and the number of ranks."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks.reshape(-1), int(distinct.size)
+
+
+def _fold(columns: Iterable[np.ndarray]) -> Tuple[np.ndarray, List[int]]:
+    """One int64 key per row that sorts and groups rows like their tuples.
+
+    Each column is offset by its minimum and scaled by its span, with no
+    sort.  A column that would push the product of spans to ``_KEY_LIMIT``
+    is replaced by its dense rank, and the running key too if that is not
+    enough: ranks keep the order and the row count bounds them, so every
+    int64 input stays exact.  Returns the key and each column's span.
+    """
+    key, n_keys, spans = None, 1, []
+    for column in columns:
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        if n_keys * span >= _KEY_LIMIT:
+            (column, span), low = _rank(column), 0
+            if n_keys * span >= _KEY_LIMIT:
+                key, n_keys = _rank(key)
+        if key is None:
+            key = column - low
+        else:  # in place: the running key is always a fresh array
+            key *= span
+            key += column
+            key -= low
+        n_keys *= span
+        spans.append(span)
+    return key, spans
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``values`` starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))

@@ -15,7 +15,8 @@ totals **at record time** with one cheap per-warp-row pass, instead of
 buffering them for a global grouping.  Correctness: a full-grid batch at
 uniform slot ``s`` consumes slot ``s`` of *every* lane, so its
 ``(block, warp, s)`` groups can never be joined by any other batch — per-batch
-group counts add exactly.  Non-qualifying (divergent) batches take
+group counts add exactly.  Every other batch (masked, mixed-slot, or in a
+launch whose blocks hold a partial warp) takes
 :class:`~repro.gpusim.cost.CostModel`'s buffered path; the totals sum.  The
 reference engine records through the scalar paths only, so its results are
 those of the plain ``CostModel``.

@@ -12,8 +12,9 @@ from repro.descend.driver import (
     active_session,
     session_scope,
 )
+from repro.descend.store import ArtifactStore
 from repro.descend_programs import reduce, vector
-from repro.errors import DescendSyntaxError, DescendTypeError
+from repro.errors import DescendError, DescendSyntaxError, DescendTypeError
 from repro.gpusim import GpuDevice
 
 DOUBLER = """
@@ -161,6 +162,106 @@ class TestSessionCache:
             assert active_session() is scoped
             assert scoped is not outer
         assert active_session() is outer
+
+
+def _opt(fun):
+    return f"{fun} fold-nats:0 fuse-arith:0 dead-slots:0"
+
+
+#: The (unit, pass, cached, detail, tier) records of :func:`_scripted_ops`
+#: on a session without a store, or on one whose store starts empty.
+COLD_RECORDS = [
+    ("doubler.descend", "parse", False, "", "compute"),
+    ("doubler.descend", "typeck", False, "", "compute"),
+    ("doubler.descend", "lower.cuda", False, "", "compute"),
+    ("doubler.descend", "lower.cuda", False, "", "compute"),
+    ("doubler.descend", "lower.print", False, "", "compute"),
+    ("doubler.descend", "lower.plan", False, "doubler", "compute"),
+    ("doubler.descend", "lower.plan.opt", False, _opt("doubler"), "compute"),
+    ("doubler.descend", "lower.plan", True, "doubler", "memory"),
+    ("doubler.descend", "lower.plan.codegen", False, "doubler", "compute"),
+    ("doubler.descend", "parse", True, "", "memory"),
+    ("racy.descend", "parse", False, "", "compute"),
+    ("racy.descend", "typeck", False, "", "compute"),
+    ("racy.descend", "parse", True, "failure", "memory"),
+    ("oops.descend", "parse", False, "", "compute"),
+    ("oops.descend", "parse", True, "failure", "memory"),
+    ("scale_vec", "typeck", False, "", "compute"),
+    ("scale_vec", "lower.plan", False, "scale_vec", "compute"),
+    ("scale_vec", "lower.plan.opt", False, _opt("scale_vec"), "compute"),
+    ("scale_vec", "lower.plan.codegen", False, "scale_vec", "compute"),
+    ("scale_vec", "lower.plan", True, "scale_vec", "memory"),
+    ("scale_vec", "lower.plan.codegen", True, "scale_vec", "memory"),
+]
+
+#: The same ops on a fresh session over the store the cold run filled.
+WARM_RECORDS = [
+    ("doubler.descend", "parse", True, "", "store"),
+    ("doubler.descend", "lower.cuda", True, "", "store"),
+    ("doubler.descend", "lower.cuda", True, "", "store"),
+    ("doubler.descend", "lower.print", True, "", "store"),
+    ("doubler.descend", "lower.plan", True, "doubler", "store"),
+    ("doubler.descend", "lower.plan.codegen", True, "doubler", "store"),
+    ("doubler.descend", "parse", True, "", "memory"),
+    ("racy.descend", "parse", True, "failure", "store"),
+    ("racy.descend", "parse", True, "failure", "memory"),
+    ("oops.descend", "parse", True, "failure", "store"),
+    ("oops.descend", "parse", True, "failure", "memory"),
+    ("scale_vec", "typeck", True, "", "store"),
+    ("scale_vec", "lower.plan.codegen", True, "scale_vec", "store"),
+    ("scale_vec", "lower.plan", True, "scale_vec", "store"),
+    ("scale_vec", "lower.plan.codegen", True, "scale_vec", "memory"),
+]
+
+
+def _scripted_ops(session):
+    """Every artifact kind, a recompile, cached failures and a jit launch."""
+    driver = CompilerDriver(session)
+    compiled = driver.compile_source(DOUBLER, name="doubler.descend")
+    compiled.to_cuda()
+    compiled.to_cuda({"n": 64})
+    compiled.to_source()
+    compiled.device_plan("doubler")
+    compiled.plan_source("doubler")
+    assert driver.compile_source(DOUBLER, name="doubler.descend") is compiled
+    for text, name in ((RACY, "racy.descend"), ("fn oops(", "oops.descend")):
+        for _ in range(2):
+            with pytest.raises(DescendError):
+                driver.compile_source(text, name=name)
+    built = driver.compile_program(vector.build_scale_program(n=64, block_size=32))
+    built.plan_source("scale_vec")
+    built.device_plan("scale_vec")
+    device = GpuDevice(execution_mode="jit")
+    launch = built.kernel("scale_vec").launch(device, {"vec": device.to_device(np.ones(64))})
+    assert launch.execution_mode == "jit"
+    return [(t.unit, t.name, t.cached, t.detail, t.tier) for t in session.timings]
+
+
+class TestTierRecords:
+    """Which cache tier serves each artifact, pinned pass by pass."""
+
+    def test_memory_cold_store_and_warm_store_sessions(self, tmp_path):
+        kinds = {"program", "failure", "cuda", "print", "plan", "plan-src"}
+        root = tmp_path / "store"
+        sessions = {
+            "memory": CompileSession(),
+            "cold": CompileSession().attach_store(ArtifactStore(root)),
+            "warm": CompileSession().attach_store(ArtifactStore(root)),
+        }
+        expected = {
+            "memory": (COLD_RECORDS, 6, 15, 2),
+            "cold": (COLD_RECORDS, 6, 15, 2),
+            "warm": (WARM_RECORDS, 15, 0, 0),
+        }
+        for label, session in sessions.items():
+            records, hits, misses, compiles = expected[label]
+            assert _scripted_ops(session) == records, label
+            assert (session.hits, session.misses) == (hits, misses), label
+            assert session.plan_compiles == session.plan_source_compiles == compiles, label
+        assert sessions["cold"].store.writes == 11
+        assert sessions["warm"].store.writes == 0
+        for label in ("cold", "warm"):
+            assert set(sessions[label].store.stats()["kinds"]) == kinds, label
 
 
 class TestPlanReuse:

@@ -193,6 +193,42 @@ class TestRobustness:
         compiled = CompilerDriver(warm).compile_source(DOUBLER, name="doubler.descend")
         assert compiled.checked is not None  # wrong-shape envelope → cold compile
 
+    @pytest.mark.parametrize(
+        "kind, extra, wrong, recomputed",
+        [
+            ("unit", "", ("ok", "not a CompiledProgram"), ["parse", "typeck"]),
+            ("plan", "doubler", ("ok", "not a DevicePlan"), ["lower.plan", "lower.plan.opt"]),
+            ("plan-src", "doubler", ("ok", "not a PlanSource"), ["lower.plan.codegen"]),
+            ("cuda", "None", "not a CUDA module", ["lower.cuda"]),
+            ("print", "", b"not printed source", ["lower.print"]),
+        ],
+    )
+    def test_wrong_shape_artifact_degrades_to_one_cold_compute(
+        self, tmp_path, kind, extra, wrong, recomputed
+    ):
+        """A well-formed pickle of the wrong type is recomputed once, then healed."""
+
+        def artifacts(session):
+            compiled, cuda, printed, plan = _compile_everything(session)
+            source = compiled.plan_source("doubler")[0].source
+            return compiled.function_names, cuda, printed, plan, source
+
+        root = tmp_path / "store"
+        cold = artifacts(_warm_session(root))
+        session = _warm_session(root)
+        digest = session.artifact_digest(
+            kind, session.source_key(DOUBLER, "doubler.descend"), extra=extra
+        )
+        session.store._object_path(digest).write_bytes(pickle.dumps(wrong, protocol=4))
+
+        warm = _warm_session(root)
+        assert artifacts(warm) == cold
+        assert [t.name for t in warm.timings if t.tier == "compute"] == recomputed
+        # The recomputed artifact was written back over the wrong one.
+        healed = _warm_session(root)
+        assert artifacts(healed) == cold
+        assert healed.misses == 0
+
     def test_schema_bump_invalidates_cleanly(self, tmp_path):
         root = tmp_path / "store"
         old = ArtifactStore(root, schema="compiler-v1")

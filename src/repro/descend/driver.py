@@ -15,6 +15,12 @@ device plan.  This module turns "compile" into an architectural layer:
                          lower.plan          lower.cuda           lower.print
                        (DevicePlan per    (CUDA C++ module)    (surface syntax)
                         GPU function)
+                             │
+                       lower.plan.opt
+                     (IR pass pipeline)
+                             │
+                     lower.plan.codegen
+                  (generated plan source)
 
   and reports each pass's wall-clock and diagnostics uniformly
   (:class:`PassTiming`).
@@ -25,10 +31,13 @@ device plan.  This module turns "compile" into an architectural layer:
   benchsuite sweeps, ``--scale`` runs, test suites, repeated ``kernel()``
   launches — hit the cache instead of re-checking.  Failed compiles are
   cached too, so cached diagnostics are byte-identical to cold ones.
+  Programs whose AST is unhashable have no key and compile uncached.
 
 * Attaching a persistent :class:`~repro.descend.store.cas.ArtifactStore`
   (``session.attach_store(store)``) adds a second cache tier *under* the
-  in-memory one: lookups go memory → store → compute, and cold results are
+  in-memory one.  Every artifact kind — program units, device plans, plan
+  sources, CUDA modules, printed sources — takes the same path,
+  :meth:`CompileSession.serve`: memory → store → compute, with cold results
   written back, so the cache survives across processes (CLI invocations,
   CI jobs, benchsuite shards).  Every artifact — device plans included,
   since they are data-driven IR (:mod:`repro.descend.plan`), not closures —
@@ -52,8 +61,8 @@ import pickle
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.printer import print_program
@@ -118,7 +127,62 @@ class PassTiming:
         }
 
 
-#: Sentinel distinguishing "evicted" from a stored ``None`` in :meth:`_touch`.
+class Artifact(NamedTuple):
+    """One kind of cached artifact, as :meth:`CompileSession.serve` sees it.
+
+    ``kind`` names its memory map and store namespace, ``label`` its
+    ``cache stats`` bucket (cached failures report as ``failure``),
+    ``pass_name`` the pass a cache hit records, and ``valid`` the shape
+    check a store load must pass: anything else is corrupt or stale and
+    degrades to a cold compute.
+    """
+
+    kind: str
+    label: str
+    pass_name: str
+    valid: Callable[[object], bool]
+
+
+def _is_unit(value: object) -> bool:
+    return isinstance(value, (CompiledProgram, DescendError))
+
+
+def _is_outcome(value: object, artifact_type: type) -> bool:
+    """``(artifact, None)`` or ``(None, fallback reason)``."""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and (
+            (isinstance(value[0], artifact_type) and value[1] is None)
+            or (value[0] is None and isinstance(value[1], str))
+        )
+    )
+
+
+def _is_plan(value: object) -> bool:
+    from repro.descend.plan import DevicePlan
+
+    return _is_outcome(value, DevicePlan)
+
+
+def _is_plan_source(value: object) -> bool:
+    from repro.descend.plan import PlanSource
+
+    return _is_outcome(value, PlanSource)
+
+
+#: A unit is a :class:`CompiledProgram` or the :class:`DescendError` that
+#: rejected it; a source unit's hit records ``parse``, a builder's ``typeck``.
+_SOURCE_UNIT = Artifact("unit", "program", PASS_PARSE, _is_unit)
+_PROGRAM_UNIT = Artifact("unit", "program", PASS_TYPECK, _is_unit)
+_PLAN = Artifact("plan", "plan", PASS_LOWER_PLAN, _is_plan)
+_PLAN_SOURCE = Artifact("plan-src", "plan-src", PASS_LOWER_PLAN_CODEGEN, _is_plan_source)
+_CUDA = Artifact("cuda", "cuda", PASS_LOWER_CUDA, lambda value: hasattr(value, "full_source"))
+_PRINT = Artifact("print", "print", PASS_LOWER_PRINT, lambda value: isinstance(value, str))
+_ARTIFACT_KINDS = ("unit", "plan", "plan-src", "cuda", "print")
+
+
+#: Sentinel for "not in this memory map" (an entry may be any object).
 _MISSING = object()
 
 
@@ -146,13 +210,14 @@ class CompileSession:
     recompiles, while a byte-identical one hits.
 
     Sessions are **thread-safe**: every cache map, the hit/miss and
-    per-pass counters, and the persistent-store write-back path are guarded
-    by one reentrant lock, so concurrent consumers (the compile-service
-    daemon's worker thread next to event-loop stats reads, tests hammering
-    one session from a pool) cannot corrupt shared state.  Compute passes
-    of a colliding key may still run twice — last write wins, both results
-    are identical by construction — but counters never tear and the
-    artifact store sees serialized writes from this process.
+    per-pass counters, and the persistent-store reads and write-backs are
+    guarded by one reentrant lock, so concurrent consumers (the
+    compile-service daemon's worker thread next to event-loop stats reads,
+    tests hammering one session from a pool) cannot corrupt shared state.
+    Compute passes run outside the lock, so those of a colliding key may run
+    twice — last write wins, both results are identical by construction —
+    but counters never tear and the artifact store sees serialized writes
+    from this process.
     """
 
     #: Caps for the content-addressed stores and the timing log.  Sessions
@@ -172,22 +237,10 @@ class CompileSession:
         #: :class:`~repro.descend.store.cas.ArtifactStore`): misses in the
         #: in-memory maps fall through to it, cold results write back.
         self.store = store
-        self._programs: Dict[object, "CompiledProgram"] = {}
-        self._failures: Dict[object, DescendError] = {}
-        self._plans: Dict[Tuple[object, str], Tuple[Optional[object], Optional[str]]] = {}
-        #: Fallback plan cache for programs without a content key (unhashable
-        #: ASTs): keyed by id(fun_def), the FunDef retained to pin the id.
-        self._plans_by_id: Dict[int, Tuple[object, Tuple[Optional[object], Optional[str]]]] = {}
-        #: Generated plan sources (the ``lower.plan.codegen`` pass), same
-        #: two-map shape as the plans above.
-        self._plan_sources: Dict[
-            Tuple[object, str], Tuple[Optional[object], Optional[str]]
-        ] = {}
-        self._plan_sources_by_id: Dict[
-            int, Tuple[object, Tuple[Optional[object], Optional[str]]]
-        ] = {}
-        self._cuda: Dict[Tuple[object, Optional[Tuple[Tuple[str, int], ...]]], object] = {}
-        self._printed: Dict[object, str] = {}
+        #: One LRU map per artifact kind, keyed ``(unit key, extra)``.
+        self._memory: Dict[str, Dict[Tuple[object, str], object]] = {
+            kind: {} for kind in _ARTIFACT_KINDS
+        }
         self._digests: Dict[object, object] = {}
         self.timings: List[PassTiming] = []
         #: Monotonic per-(pass, tier) counters: unlike :attr:`timings`,
@@ -196,27 +249,14 @@ class CompileSession:
         self.pass_counts: Dict[str, Dict[str, int]] = {}
         self.hits = 0
         self.misses = 0
-        self.plan_compiles = 0
-        self.plan_source_compiles = 0
 
-    def _store(self, cache: Dict, key: object, value: object) -> None:
+    def _remember(self, cache: Dict, key: object, value: object) -> None:
         """Insert with LRU eviction (dicts preserve insertion order, and
-        every cache hit reinserts its key at the end via :meth:`_touch`)."""
+        every cache hit reinserts its key at the end)."""
         with self._lock:
             if key not in cache and len(cache) >= self.MAX_UNITS:
                 cache.pop(next(iter(cache)))
             cache[key] = value
-
-    def _touch(self, cache: Dict, key: object) -> None:
-        """Move a hit key to the most-recently-used end of its cache.
-
-        Tolerates the key having been evicted by a concurrent thread
-        between the caller's membership check and this reinsertion.
-        """
-        with self._lock:
-            value = cache.pop(key, _MISSING)
-            if value is not _MISSING:
-                cache[key] = value
 
     # -- persistent tier -------------------------------------------------------
     def attach_store(self, store: object) -> "CompileSession":
@@ -251,7 +291,7 @@ class CompileSession:
             )
         else:
             digest = None
-        self._store(self._digests, key, digest if digest is not None else False)
+        self._remember(self._digests, key, digest if digest is not None else False)
         return digest
 
     def artifact_digest(self, kind: str, key: object, extra: str = "") -> Optional[str]:
@@ -260,39 +300,6 @@ class CompileSession:
         if base is None:
             return None
         return hashlib.sha256(f"{kind}\0{extra}\0{base}".encode("utf-8")).hexdigest()
-
-    def store_load(self, kind: str, key: object, extra: str = "") -> Optional[object]:
-        """Load one artifact from the persistent tier (``None`` on miss)."""
-        if self.store is None:
-            return None
-        digest = self.artifact_digest(kind, key, extra)
-        if digest is None:
-            return None
-        # The store handles cross-process races itself (flock); the session
-        # lock serializes this process's threads over the store's own
-        # in-memory bookkeeping (pending LRU stamps, counters).
-        with self._lock:
-            return self.store.load(digest)
-
-    def store_put(
-        self, kind: str, key: object, value: object, extra: str = "", label: Optional[str] = None
-    ) -> bool:
-        """Write one artifact back to the persistent tier (best-effort).
-
-        ``label`` refines the *reported* artifact kind (``cache stats``
-        breakdowns) without changing the digest namespace — e.g. the
-        ``unit`` envelope splits into ``program`` vs ``failure`` blobs.
-        """
-        if self.store is None:
-            return False
-        digest = self.artifact_digest(kind, key, extra)
-        if digest is None:
-            return False
-        # Single writer per process: concurrent threads take turns, so the
-        # store's index read-modify-write and its touch batching only ever
-        # see one in-process mutator (the flock covers other processes).
-        with self._lock:
-            return self.store.store(digest, value, kind=label or kind)
 
     # -- keys ------------------------------------------------------------------
     @staticmethod
@@ -317,6 +324,60 @@ class CompileSession:
             return None
         return ("program", program)
 
+    # -- the one cache path ------------------------------------------------------
+    def serve(
+        self,
+        artifact: Artifact,
+        key: Optional[object],
+        unit: str,
+        compute: Callable[..., object],
+        *args: object,
+        extra: str = "",
+        detail: str = "",
+    ) -> object:
+        """One artifact from the memory tier, else the store, else ``compute``.
+
+        A hit records ``artifact.pass_name`` with the tier that served it
+        (``detail`` names the function or, for a cached failure,
+        ``"failure"``).  On a miss ``compute(*args)`` runs outside the lock
+        and records its own passes, so each keeps its own wall time; its
+        entry is kept in memory and written back to the store.  Programs
+        without a content key (``key is None``) compute uncached.
+        """
+        if key is None:
+            return compute(*args)
+        start = time.perf_counter()
+        memory = self._memory[artifact.kind]
+        entry_key = (key, extra)
+        digest = None
+        with self._lock:
+            entry, tier = memory.pop(entry_key, _MISSING), "memory"
+            if entry is _MISSING and self.store is not None:
+                digest = self.artifact_digest(artifact.kind, key, extra)
+                # The store handles cross-process races itself (flock); the
+                # lock serializes this process's threads over the store's
+                # in-memory bookkeeping (pending LRU stamps, counters).
+                loaded = self.store.load(digest) if digest is not None else None
+                if loaded is not None and artifact.valid(loaded):
+                    entry, tier = loaded, "store"
+            if entry is not _MISSING:
+                self._remember(memory, entry_key, entry)  # now the most recently used
+                if isinstance(entry, DescendError):
+                    detail = "failure"
+                wall = time.perf_counter() - start
+                self.record(PassTiming(unit, artifact.pass_name, wall, True, detail, tier))
+                return entry
+        entry = compute(*args)
+        self._remember(memory, entry_key, entry)
+        if digest is not None:
+            label = "failure" if isinstance(entry, DescendError) else artifact.label
+            # Single writer per process: concurrent threads take turns, so the
+            # store's index read-modify-write and its touch batching only ever
+            # see one in-process mutator (the flock covers other processes).
+            with self._lock:
+                self.store.store(digest, entry, kind=label)
+        return entry
+
     # -- bookkeeping -----------------------------------------------------------
     def record(self, timing: PassTiming) -> PassTiming:
         with self._lock:
@@ -330,6 +391,20 @@ class CompileSession:
             else:
                 self.misses += 1
         return timing
+
+    def record_compute(self, unit: str, pass_name: str, start: float, detail: str = "") -> None:
+        """Record one compute pass that started at ``start`` (``perf_counter``)."""
+        self.record(PassTiming(unit, pass_name, time.perf_counter() - start, False, detail))
+
+    @property
+    def plan_compiles(self) -> int:
+        """Plan lowerings run (``lower.plan`` compute passes)."""
+        return self.pass_counts.get(PASS_LOWER_PLAN, {}).get("compute", 0)
+
+    @property
+    def plan_source_compiles(self) -> int:
+        """Plan sources generated (``lower.plan.codegen`` compute passes)."""
+        return self.pass_counts.get(PASS_LOWER_PLAN_CODEGEN, {}).get("compute", 0)
 
     def pass_counts_snapshot(self) -> Dict[str, Dict[str, int]]:
         """Copy of the monotonic ``{pass: {tier: count}}`` counters.
@@ -365,45 +440,33 @@ class CompileSession:
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            return self._stats_locked()
-
-    def _stats_locked(self) -> Dict[str, object]:
-        stats: Dict[str, object] = {
-            "label": self.label,
-            "programs": len(self._programs),
-            "failures": len(self._failures),
-            "plans": len(self._plans),
-            "plan_compiles": self.plan_compiles,
-            "plan_sources": len(self._plan_sources),
-            "plan_source_compiles": self.plan_source_compiles,
-            "cuda_modules": len(self._cuda),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-        if self.store is not None:
-            stats["store"] = self.store.stats()
+            units = self._memory["unit"].values()
+            failures = sum(isinstance(entry, DescendError) for entry in units)
+            stats: Dict[str, object] = {
+                "label": self.label,
+                "programs": len(units) - failures,
+                "failures": failures,
+                "plans": len(self._memory["plan"]),
+                "plan_compiles": self.plan_compiles,
+                "plan_sources": len(self._memory["plan-src"]),
+                "plan_source_compiles": self.plan_source_compiles,
+                "cuda_modules": len(self._memory["cuda"]),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+            if self.store is not None:
+                stats["store"] = self.store.stats()
         return stats
 
     def clear(self) -> None:
         with self._lock:
-            self._clear_locked()
-
-    def _clear_locked(self) -> None:
-        self._programs.clear()
-        self._failures.clear()
-        self._plans.clear()
-        self._plans_by_id.clear()
-        self._plan_sources.clear()
-        self._plan_sources_by_id.clear()
-        self._cuda.clear()
-        self._printed.clear()
-        self._digests.clear()
-        self.timings.clear()
-        self.pass_counts.clear()
-        self.hits = 0
-        self.misses = 0
-        self.plan_compiles = 0
-        self.plan_source_compiles = 0
+            for cache in self._memory.values():
+                cache.clear()
+            self._digests.clear()
+            self.timings.clear()
+            self.pass_counts.clear()
+            self.hits = 0
+            self.misses = 0
 
     def timings_table(self) -> str:
         """Human-readable pass breakdown (the CLI's ``--timings`` output)."""
@@ -440,114 +503,37 @@ class CompileSession:
         key: Optional[object] = None,
         unit: str = "<program>",
     ):
-        """The (cached) device plan of one GPU function (thread-safe)."""
-        with self._lock:
-            return self._device_plan_locked(program, fun_name, key, unit)
+        """The cached ``(plan, fallback_reason)`` of one GPU function.
 
-    def _device_plan_locked(
-        self,
-        program: T.Program,
-        fun_name: str,
-        key: Optional[object] = None,
-        unit: str = "<program>",
-    ):
-        """The (cached) device plan of one GPU function.
-
-        Returns ``(plan, fallback_reason)``: exactly one of the two is not
-        ``None``.  Failures (:class:`~repro.descend.plan.PlanUnsupported`)
-        are cached as well, so repeated launches of an un-lowerable kernel do
-        not retry the lowering every time.
-
-        Plans are data-driven IR (:class:`~repro.descend.plan.ir.DevicePlan`)
-        and persist as first-class ``plan`` artifacts: a warm store serves
-        the finished plan directly — no re-lowering, no ``lower.plan``
-        compute pass — and fallback reasons persist alongside.
+        Exactly one of the two is not ``None``.  A function the plan
+        compiler refuses (:class:`~repro.descend.plan.PlanUnsupported`)
+        caches its reason, so repeated launches of an un-lowerable kernel do
+        not retry the lowering.  Plans are data-driven IR
+        (:class:`~repro.descend.plan.ir.DevicePlan`) and persist as ``plan``
+        artifacts: a warm store serves the finished plan directly — no
+        ``lower.plan`` compute pass — and fallback reasons persist alongside.
         """
-        from repro.descend.plan import (
-            DevicePlan,
-            PlanUnsupported,
-            lower_device_plan,
-            optimize_plan,
-        )
-
-        start = time.perf_counter()
         if key is None:
             key = self.program_key(program)
-        entry_key = (key, fun_name)
-        if key is not None and entry_key in self._plans:
-            self._touch(self._plans, entry_key)
-            self.record(
-                PassTiming(
-                    unit, PASS_LOWER_PLAN, time.perf_counter() - start, True, fun_name, "memory"
-                )
-            )
-            return self._plans[entry_key]
-        # The linear fun-def scan only happens past the hot cache-hit path.
+        return self.serve(
+            _PLAN, key, unit, self._lower_plan, program, fun_name, unit, extra=fun_name, detail=fun_name
+        )
+
+    def _lower_plan(self, program: T.Program, fun_name: str, unit: str):
+        from repro.descend.plan import PlanUnsupported, lower_device_plan, optimize_plan
+
         fun_def = program.fun(fun_name)
-        if key is None:
-            cached = self._plans_by_id.get(id(fun_def))
-            if cached is not None and cached[0] is fun_def:
-                self._touch(self._plans_by_id, id(fun_def))
-                self.record(
-                    PassTiming(
-                        unit, PASS_LOWER_PLAN, time.perf_counter() - start, True, fun_name, "memory"
-                    )
-                )
-                return cached[1]
-        persisted = self.store_load("plan", key, extra=fun_name) if key is not None else None
-        if isinstance(persisted, tuple) and len(persisted) == 2:
-            status, payload = persisted
-            entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-            if status == "fallback" and isinstance(payload, str):
-                entry = (None, payload)
-            elif status == "ok" and isinstance(payload, DevicePlan):
-                entry = (payload, None)
-            # Any other shape is a corrupt/stale artifact: degrade to a cold
-            # lowering instead of crashing the consumer later.
-            if entry is not None:
-                self.record(
-                    PassTiming(
-                        unit, PASS_LOWER_PLAN, time.perf_counter() - start, True, fun_name, "store"
-                    )
-                )
-                self._store(self._plans, entry_key, entry)
-                return entry
-        lower_start = time.perf_counter()
-        self.plan_compiles += 1
+        start = time.perf_counter()
         try:
             plan = lower_device_plan(fun_def)
         except PlanUnsupported as exc:
-            entry = (None, str(exc))
-            self.record(
-                PassTiming(
-                    unit, PASS_LOWER_PLAN, time.perf_counter() - lower_start, False, fun_name
-                )
-            )
-        else:
-            self.record(
-                PassTiming(
-                    unit, PASS_LOWER_PLAN, time.perf_counter() - lower_start, False, fun_name
-                )
-            )
-            opt_start = time.perf_counter()
-            plan, opt_detail = optimize_plan(plan)
-            self.record(
-                PassTiming(
-                    unit,
-                    PASS_LOWER_PLAN_OPT,
-                    time.perf_counter() - opt_start,
-                    False,
-                    f"{fun_name} {opt_detail}",
-                )
-            )
-            entry = (plan, None)
-        if key is not None:
-            self._store(self._plans, entry_key, entry)
-            record = ("ok", entry[0]) if entry[1] is None else ("fallback", entry[1])
-            self.store_put("plan", key, record, extra=fun_name)
-        else:
-            self._store(self._plans_by_id, id(fun_def), (fun_def, entry))
-        return entry
+            self.record_compute(unit, PASS_LOWER_PLAN, start, fun_name)
+            return None, str(exc)
+        self.record_compute(unit, PASS_LOWER_PLAN, start, fun_name)
+        start = time.perf_counter()
+        plan, opt_detail = optimize_plan(plan)
+        self.record_compute(unit, PASS_LOWER_PLAN_OPT, start, f"{fun_name} {opt_detail}")
+        return plan, None
 
     def plan_source(
         self,
@@ -556,108 +542,41 @@ class CompileSession:
         key: Optional[object] = None,
         unit: str = "<program>",
     ):
-        """The (cached) JIT plan source of one GPU function (thread-safe)."""
-        with self._lock:
-            return self._plan_source_locked(program, fun_name, key, unit)
+        """The cached ``(plan_source, fallback_reason)`` of one GPU function.
 
-    def _plan_source_locked(
-        self,
-        program: T.Program,
-        fun_name: str,
-        key: Optional[object] = None,
-        unit: str = "<program>",
-    ):
-        """The (cached) JIT plan source of one GPU function.
-
-        Returns ``(plan_source, fallback_reason)``: exactly one of the two
-        is not ``None``.  The ``lower.plan.codegen`` pass compiles the
-        optimized plan IR (resolved through :meth:`_device_plan_locked`, so
-        a cached plan is reused) into a :class:`~repro.descend.plan.codegen.
-        PlanSource`; codegen is total, so the source is missing exactly when
-        the lowering refused the function.  Both outcomes persist as
-        first-class ``plan-src`` artifacts, so a warm store serves
-        vectorized and jit launches with zero codegen compute passes.
+        Exactly one of the two is not ``None``.  The ``lower.plan.codegen``
+        pass compiles the optimized plan IR (resolved through
+        :meth:`device_plan`, so a cached plan is reused) into a
+        :class:`~repro.descend.plan.codegen.PlanSource`; codegen is total,
+        so the source is missing exactly when the lowering refused the
+        function.  Both outcomes persist as ``plan-src`` artifacts, so a warm
+        store serves vectorized and jit launches with zero codegen compute
+        passes.
         """
-        from repro.descend.plan import PlanSource, generate_plan_source
-
-        start = time.perf_counter()
         if key is None:
             key = self.program_key(program)
-        entry_key = (key, fun_name)
-        if key is not None and entry_key in self._plan_sources:
-            self._touch(self._plan_sources, entry_key)
-            self.record(
-                PassTiming(
-                    unit,
-                    PASS_LOWER_PLAN_CODEGEN,
-                    time.perf_counter() - start,
-                    True,
-                    fun_name,
-                    "memory",
-                )
-            )
-            return self._plan_sources[entry_key]
-        fun_def = program.fun(fun_name)
-        if key is None:
-            cached = self._plan_sources_by_id.get(id(fun_def))
-            if cached is not None and cached[0] is fun_def:
-                self._touch(self._plan_sources_by_id, id(fun_def))
-                self.record(
-                    PassTiming(
-                        unit,
-                        PASS_LOWER_PLAN_CODEGEN,
-                        time.perf_counter() - start,
-                        True,
-                        fun_name,
-                        "memory",
-                    )
-                )
-                return cached[1]
-        persisted = self.store_load("plan-src", key, extra=fun_name) if key is not None else None
-        if isinstance(persisted, tuple) and len(persisted) == 2:
-            status, payload = persisted
-            entry: Optional[Tuple[Optional[object], Optional[str]]] = None
-            if status == "fallback" and isinstance(payload, str):
-                entry = (None, payload)
-            elif status == "ok" and isinstance(payload, PlanSource):
-                entry = (payload, None)
-            # Corrupt/stale artifacts degrade to a cold codegen, not a crash.
-            if entry is not None:
-                self.record(
-                    PassTiming(
-                        unit,
-                        PASS_LOWER_PLAN_CODEGEN,
-                        time.perf_counter() - start,
-                        True,
-                        fun_name,
-                        "store",
-                    )
-                )
-                self._store(self._plan_sources, entry_key, entry)
-                return entry
-        # Codegen input: the optimized plan, through its own cache tiers.
-        plan, plan_reason = self._device_plan_locked(program, fun_name, key, unit)
-        codegen_start = time.perf_counter()
-        self.plan_source_compiles += 1
-        if plan is None:
-            entry = (None, plan_reason)
-        else:
-            entry = (generate_plan_source(plan), None)
-        self.record(
-            PassTiming(
-                unit,
-                PASS_LOWER_PLAN_CODEGEN,
-                time.perf_counter() - codegen_start,
-                False,
-                fun_name,
-            )
+        return self.serve(
+            _PLAN_SOURCE,
+            key,
+            unit,
+            self._generate_plan_source,
+            program,
+            fun_name,
+            key,
+            unit,
+            extra=fun_name,
+            detail=fun_name,
         )
-        if key is not None:
-            self._store(self._plan_sources, entry_key, entry)
-            record = ("ok", entry[0]) if entry[1] is None else ("fallback", entry[1])
-            self.store_put("plan-src", key, record, extra=fun_name)
-        else:
-            self._store(self._plan_sources_by_id, id(fun_def), (fun_def, entry))
+
+    def _generate_plan_source(
+        self, program: T.Program, fun_name: str, key: Optional[object], unit: str
+    ):
+        from repro.descend.plan import generate_plan_source
+
+        plan, reason = self.device_plan(program, fun_name, key, unit)
+        start = time.perf_counter()
+        entry = (None, reason) if plan is None else (generate_plan_source(plan), None)
+        self.record_compute(unit, PASS_LOWER_PLAN_CODEGEN, start, fun_name)
         return entry
 
     def cuda_module(
@@ -667,83 +586,34 @@ class CompileSession:
         key: Optional[object] = None,
         unit: str = "<program>",
     ):
-        """The (cached) CUDA C++ translation of a program (thread-safe)."""
-        with self._lock:
-            return self._cuda_module_locked(program, nat_env, key, unit)
-
-    def _cuda_module_locked(
-        self,
-        program: T.Program,
-        nat_env: Optional[Dict[str, int]] = None,
-        key: Optional[object] = None,
-        unit: str = "<program>",
-    ):
-        from repro.descend.codegen import generate_cuda
-
-        start = time.perf_counter()
+        """The cached CUDA C++ translation of a program (one per nat env)."""
         if key is None:
             key = self.program_key(program)
         env_key = tuple(sorted(nat_env.items())) if nat_env else None
-        entry_key = (key, env_key)
-        if key is not None and entry_key in self._cuda:
-            self._touch(self._cuda, entry_key)
-            self.record(
-                PassTiming(unit, PASS_LOWER_CUDA, time.perf_counter() - start, True, "", "memory")
-            )
-            return self._cuda[entry_key]
-        if key is not None:
-            persisted = self.store_load("cuda", key, extra=repr(env_key))
-            # Duck-typed shape check: a wrong-typed (corrupt) artifact must
-            # degrade to a cold lowering, not crash the consumer later.
-            if persisted is not None and hasattr(persisted, "full_source"):
-                self.record(
-                    PassTiming(
-                        unit, PASS_LOWER_CUDA, time.perf_counter() - start, True, "", "store"
-                    )
-                )
-                self._store(self._cuda, entry_key, persisted)
-                return persisted
+        return self.serve(
+            _CUDA, key, unit, self._generate_cuda, program, nat_env, unit, extra=repr(env_key)
+        )
+
+    def _generate_cuda(self, program: T.Program, nat_env: Optional[Dict[str, int]], unit: str):
+        from repro.descend.codegen import generate_cuda
+
+        start = time.perf_counter()
         module = generate_cuda(program, nat_env)
-        self.record(PassTiming(unit, PASS_LOWER_CUDA, time.perf_counter() - start, False))
-        if key is not None:
-            self._store(self._cuda, entry_key, module)
-            self.store_put("cuda", key, module, extra=repr(env_key))
+        self.record_compute(unit, PASS_LOWER_CUDA, start)
         return module
 
     def printed_source(
         self, program: T.Program, key: Optional[object] = None, unit: str = "<program>"
     ) -> str:
-        """The (cached) pretty-printed surface syntax of a program (thread-safe)."""
-        with self._lock:
-            return self._printed_source_locked(program, key, unit)
-
-    def _printed_source_locked(
-        self, program: T.Program, key: Optional[object] = None, unit: str = "<program>"
-    ) -> str:
-        start = time.perf_counter()
+        """The cached pretty-printed surface syntax of a program."""
         if key is None:
             key = self.program_key(program)
-        if key is not None and key in self._printed:
-            self._touch(self._printed, key)
-            self.record(
-                PassTiming(unit, PASS_LOWER_PRINT, time.perf_counter() - start, True, "", "memory")
-            )
-            return self._printed[key]
-        if key is not None:
-            persisted = self.store_load("print", key)
-            if isinstance(persisted, str):
-                self.record(
-                    PassTiming(
-                        unit, PASS_LOWER_PRINT, time.perf_counter() - start, True, "", "store"
-                    )
-                )
-                self._store(self._printed, key, persisted)
-                return persisted
+        return self.serve(_PRINT, key, unit, self._print, program, unit)
+
+    def _print(self, program: T.Program, unit: str) -> str:
+        start = time.perf_counter()
         text = print_program(program)
-        self.record(PassTiming(unit, PASS_LOWER_PRINT, time.perf_counter() - start, False))
-        if key is not None:
-            self._store(self._printed, key, text)
-            self.store_put("print", key, text)
+        self.record_compute(unit, PASS_LOWER_PRINT, start)
         return text
 
 
@@ -763,6 +633,11 @@ class CompiledProgram:
     unit: str = "<program>"
     key: Optional[object] = None
     session: Optional[CompileSession] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Persisted without its session (locks, caches) and key: the session
+        # that loads it from the store binds both.
+        return {**self.__dict__, "key": None, "session": None}
 
     def cache_key(self) -> Optional[object]:
         if self.key is not None:
@@ -833,36 +708,17 @@ class CompilerDriver:
     def compile_source(self, text: str, name: str = "<descend>") -> CompiledProgram:
         """Parse and type check Descend source text (cached by content hash)."""
         session = self.session
-        start = time.perf_counter()
         key = session.source_key(text, name)
-        cached = self._lookup(session, key, name, PASS_PARSE, start)
-        if cached is not None:
-            return cached
-
-        source = SourceFile(text, name)
-        start = time.perf_counter()
-        try:
-            program = parse_program(text, name)
-        except DescendError as exc:
-            session.record(PassTiming(name, PASS_PARSE, time.perf_counter() - start, False))
-            detached = _detach_failure(exc)
-            session._store(session._failures, key, detached)
-            session.store_put("unit", key, ("fail", detached), label="failure")
-            raise
-        session.record(PassTiming(name, PASS_PARSE, time.perf_counter() - start, False))
-        return self._typecheck(session, program, source, key, name)
+        return self._serve_unit(session, _SOURCE_UNIT, key, name, self._parse, session, text, name, key)
 
     def compile_program(self, program: T.Program) -> CompiledProgram:
         """Type check a program built with the builder API (cached by AST)."""
         session = self.session
-        start = time.perf_counter()
         key = session.program_key(program)
         unit = self._unit_label(program)
-        if key is not None:
-            cached = self._lookup(session, key, unit, PASS_TYPECK, start)
-            if cached is not None:
-                return cached
-        return self._typecheck(session, program, None, key, unit)
+        return self._serve_unit(
+            session, _PROGRAM_UNIT, key, unit, self._typecheck, session, program, None, key, unit
+        )
 
     def compile_file(self, path: str) -> CompiledProgram:
         """Parse and type check a ``.descend`` file."""
@@ -871,99 +727,51 @@ class CompilerDriver:
         return self.compile_source(text, name=path)
 
     # -- passes ------------------------------------------------------------------
-    def _lookup(
-        self,
+    @staticmethod
+    def _serve_unit(
         session: CompileSession,
-        key: object,
+        artifact: Artifact,
+        key: Optional[object],
         unit: str,
-        pass_name: str,
-        start: float,
-    ) -> Optional[CompiledProgram]:
-        # Atomic check-touch-read over the session maps: a concurrent
-        # eviction between membership test and read must not KeyError.
-        with session._lock:
-            return self._lookup_locked(session, key, unit, pass_name, start)
+        compute: Callable[..., object],
+        *args: object,
+    ) -> CompiledProgram:
+        """The unit's program, or its cached compile failure raised as a copy."""
+        entry = session.serve(artifact, key, unit, compute, *args)
+        if isinstance(entry, DescendError):
+            raise _detach_failure(entry)
+        if entry.session is None:  # loaded from the store
+            entry.session, entry.key = session, key
+        return entry
 
-    def _lookup_locked(
-        self,
-        session: CompileSession,
-        key: object,
-        unit: str,
-        pass_name: str,
-        start: float,
-    ) -> Optional[CompiledProgram]:
-        if key in session._failures:
-            session._touch(session._failures, key)
-            session.record(
-                PassTiming(unit, pass_name, time.perf_counter() - start, True, "failure", "memory")
-            )
-            raise _detach_failure(session._failures[key])
-        compiled = session._programs.get(key)
-        if compiled is not None:
-            session._touch(session._programs, key)
-            session.record(
-                PassTiming(unit, pass_name, time.perf_counter() - start, True, "", "memory")
-            )
-            return compiled
-        # In-memory miss: fall through to the persistent artifact store.  A
-        # unit envelope is ("ok", CompiledProgram) or ("fail", DescendError);
-        # anything else (corrupt, wrong shape) is ignored — cold compile.
-        envelope = session.store_load("unit", key)
-        if isinstance(envelope, tuple) and len(envelope) == 2:
-            status, payload = envelope
-            if status == "fail" and isinstance(payload, DescendError):
-                session._store(session._failures, key, payload)
-                session.record(
-                    PassTiming(
-                        unit, pass_name, time.perf_counter() - start, True, "failure", "store"
-                    )
-                )
-                raise _detach_failure(payload)
-            if status == "ok" and isinstance(payload, CompiledProgram):
-                payload.session = session
-                payload.key = key
-                session._store(session._programs, key, payload)
-                session.record(
-                    PassTiming(unit, pass_name, time.perf_counter() - start, True, "", "store")
-                )
-                return payload
-        return None
+    def _parse(
+        self, session: CompileSession, text: str, name: str, key: Optional[object]
+    ) -> object:
+        start = time.perf_counter()
+        try:
+            program = parse_program(text, name)
+        except DescendError as exc:
+            session.record_compute(name, PASS_PARSE, start)
+            return _detach_failure(exc)
+        session.record_compute(name, PASS_PARSE, start)
+        return self._typecheck(session, program, SourceFile(text, name), key, name)
 
+    @staticmethod
     def _typecheck(
-        self,
         session: CompileSession,
         program: T.Program,
         source: Optional[SourceFile],
         key: Optional[object],
         unit: str,
-    ) -> CompiledProgram:
+    ) -> object:
         start = time.perf_counter()
         try:
             checked = check_program(program, source)
         except DescendError as exc:
-            session.record(PassTiming(unit, PASS_TYPECK, time.perf_counter() - start, False))
-            if key is not None:
-                detached = _detach_failure(exc)
-                session._store(session._failures, key, detached)
-                session.store_put("unit", key, ("fail", detached), label="failure")
-            raise
-        session.record(PassTiming(unit, PASS_TYPECK, time.perf_counter() - start, False))
-        compiled = CompiledProgram(
-            program=program,
-            checked=checked,
-            source=source,
-            unit=unit,
-            key=key,
-            session=session,
-        )
-        if key is not None:
-            session._store(session._programs, key, compiled)
-            # Persist a session-free copy: the loading process re-binds the
-            # session (and key) when it pulls the program back out.
-            session.store_put(
-                "unit", key, ("ok", replace(compiled, key=None, session=None)), label="program"
-            )
-        return compiled
+            session.record_compute(unit, PASS_TYPECK, start)
+            return _detach_failure(exc)
+        session.record_compute(unit, PASS_TYPECK, start)
+        return CompiledProgram(program, checked, source, unit, key, session)
 
     @staticmethod
     def _unit_label(program: T.Program) -> str:

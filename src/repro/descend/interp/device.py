@@ -385,7 +385,9 @@ class DescendKernel:
     :class:`~repro.descend.driver.CompileSession` keyed by content hash (and
     the source is additionally memoized on the kernel handle), so repeated
     launches — even from freshly constructed handles for the same program —
-    reuse one plan and one source instead of re-lowering per launch.
+    reuse one plan and one source instead of re-lowering per launch.  A
+    program whose AST is unhashable has no content key, so each of its
+    handles lowers its own.
     """
 
     def __init__(

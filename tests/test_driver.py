@@ -1,5 +1,7 @@
 """Tests for the staged compiler driver and its content-addressed session cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,28 @@ class TestPlanReuse:
                 buf = device.to_device(np.ones(64))
                 DescendKernel(program, "scale_vec").launch(device, {"vec": buf})
             assert session.plan_compiles == 1
+
+    def test_unhashable_program_compiles_uncached(self):
+        """A list inside the AST leaves a program without a content key."""
+        built = vector.build_scale_program(n=64, block_size=32)
+        program = dataclasses.replace(built, view_defs=list(built.view_defs))
+        assert CompileSession.program_key(program) is None
+        with session_scope() as session:
+            compiled = CompilerDriver(session).compile_program(program)
+            data = np.arange(64, dtype=np.float64)
+            reference = GpuDevice(execution_mode="reference")
+            expected_buf = reference.to_device(data)
+            expected = compiled.kernel("scale_vec").launch(reference, {"vec": expected_buf})
+            device = GpuDevice(execution_mode="vectorized")
+            for _ in range(3):
+                buf = device.to_device(data)
+                launch = compiled.kernel("scale_vec").launch(device, {"vec": buf})
+                assert launch.execution_mode == "vectorized"
+                assert launch.cycles == expected.cycles
+                assert np.array_equal(device.to_host(buf), reference.to_host(expected_buf))
+            # Nothing to key a cache entry on: every fresh handle lowers anew.
+            assert session.plan_compiles == 3
+            assert session.plan_source_compiles == 3
 
     def test_host_interpreter_reuses_kernel_handles(self):
         with session_scope() as session:

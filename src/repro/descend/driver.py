@@ -472,10 +472,11 @@ class CompileSession:
         """Human-readable pass breakdown (the CLI's ``--timings`` output)."""
         if not self.timings:
             return "no passes recorded"
-        header = f"{'unit':<28} {'pass':<12} {'wall':>10}  cached"
+        width = max(len(name) for name in PASS_ORDER)
+        header = f"{'unit':<28} {'pass':<{width}} {'wall':>10}  cached"
         lines = [header, "-" * len(header)]
         lines.extend(
-            f"{timing.unit:<28} {timing.name:<12} {timing.wall_s * 1e3:>8.2f}ms"
+            f"{timing.unit:<28} {timing.name:<{width}} {timing.wall_s * 1e3:>8.2f}ms"
             f"  {'store' if timing.tier == 'store' else ('yes' if timing.cached else 'no')}"
             for timing in self.timings
         )

@@ -508,22 +508,28 @@ class LocalBackend:
             return {"source": compiled.to_source()}
         if op == OP_PLAN:
             no_opt = bool(request.option("no_opt", False))
-            if bool(request.option("jit", False)):
-                return {"ir": plan_source_text(compiled, unit, request.fun, no_opt)}
-            return {"ir": plan_text(compiled, unit, request.fun, no_opt)}
+            jit = bool(request.option("jit", False))
+            return {"ir": plan_text(compiled, unit, request.fun, no_opt, jit)}
         raise ProtocolError(ERR_UNKNOWN_OP, f"unknown op {op!r}")  # pragma: no cover
 
 
 def plan_text(
-    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool
+    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool, jit: bool = False
 ) -> str:
-    """The ``plan`` op's disassembly text (also the CLI's ``plan`` output).
+    """The ``plan`` op's text (also the CLI's ``plan`` output).
 
-    ``no_opt`` re-lowers raw (bypassing cache and the ``lower.plan.opt``
-    pipeline); functions the plan compiler cannot lower render their
-    fallback reason as a comment.
+    The IR disassembly of each GPU function or, with ``jit``, its
+    generated Python source (the ``lower.plan.codegen`` output, the CLI's
+    ``plan --jit``).  ``no_opt`` re-lowers raw, bypassing the caches and
+    the ``lower.plan.opt`` pipeline.  Functions the plan compiler cannot
+    lower render their fallback reason as a comment.
     """
-    from repro.descend.plan import PlanUnsupported, disassemble, lower_device_plan
+    from repro.descend.plan import (
+        PlanUnsupported,
+        disassemble,
+        generate_plan_source,
+        lower_device_plan,
+    )
 
     gpu_names = compiled.gpu_function_names()
     if fun:
@@ -538,52 +544,21 @@ def plan_text(
     for name in gpu_names:
         if no_opt:
             try:
-                plan, reason = lower_device_plan(compiled.program.fun(name)), None
+                artifact, reason = lower_device_plan(compiled.program.fun(name)), None
             except PlanUnsupported as exc:
-                plan, reason = None, str(exc)
+                artifact, reason = None, str(exc)
+            if jit and artifact is not None:
+                artifact = generate_plan_source(artifact)
         else:
-            plan, reason = compiled.device_plan(name)
-        if plan is None:
-            chunks.append(f"// {name}: falls back to the reference engine: {reason}\n")
-        else:
-            chunks.append(disassemble(plan))
-    return "\n".join(chunks)
-
-
-def plan_source_text(
-    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool
-) -> str:
-    """The ``plan`` op's generated-Python text (the CLI's ``plan --jit``).
-
-    Mirrors :func:`plan_text` with the ``lower.plan.codegen`` output in
-    place of the IR disassembly: functions the plan lowering refuses render
-    their fallback reason as a comment.  ``no_opt`` runs codegen over the
-    raw (unoptimized) plan, bypassing the caches.
-    """
-    from repro.descend.plan import PlanUnsupported, generate_plan_source, lower_device_plan
-
-    gpu_names = compiled.gpu_function_names()
-    if fun:
-        if fun not in gpu_names:
-            raise ProtocolError(
-                ERR_BAD_REQUEST,
-                f"`{fun}` is not a GPU function of {unit} "
-                f"(GPU functions: {', '.join(gpu_names) or 'none'})",
+            artifact, reason = (compiled.plan_source if jit else compiled.device_plan)(name)
+        if artifact is None:
+            chunks.append(
+                f"# {name}: no jit source ({reason})\n"
+                if jit
+                else f"// {name}: falls back to the reference engine: {reason}\n"
             )
-        gpu_names = (fun,)
-    chunks = []
-    for name in gpu_names:
-        if no_opt:
-            try:
-                src, reason = generate_plan_source(lower_device_plan(compiled.program.fun(name))), None
-            except PlanUnsupported as exc:
-                src, reason = None, str(exc)
         else:
-            src, reason = compiled.plan_source(name)
-        if src is None:
-            chunks.append(f"# {name}: no jit source ({reason})\n")
-        else:
-            chunks.append(src.source)
+            chunks.append(artifact.source if jit else disassemble(artifact))
     return "\n".join(chunks)
 
 

@@ -88,12 +88,8 @@ def test_plan_rejects_unknown_function(good_file, capsys):
     assert "not a GPU function" in err and "scale_vec" in err
 
 
-def test_plan_reports_fallback_reason(tmp_path, capsys):
-    # A sync under a per-thread if cannot be vectorized: the disassembler
-    # prints the fallback reason instead of an IR dump.
-    path = tmp_path / "fallback.descend"
-    path.write_text(
-        """
+# A sync under a per-thread if cannot be vectorized.
+GUARDED_SYNC = """
 fn guarded(vec: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> () {
     sched(X) block in grid {
         sched(X) thread in block {
@@ -104,11 +100,36 @@ fn guarded(vec: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> () 
     }
 }
 """
-    )
+
+
+def test_plan_reports_fallback_reason(tmp_path, capsys):
+    # The disassembler prints the fallback reason instead of an IR dump.
+    path = tmp_path / "fallback.descend"
+    path.write_text(GUARDED_SYNC)
     assert main(["plan", str(path)]) == 0
     out = capsys.readouterr().out
     assert "falls back to the reference engine" in out
     assert "sync" in out
+
+
+@pytest.mark.parametrize(
+    "flags, comment",
+    [
+        ([], "// guarded: falls back to the reference engine: {reason}"),
+        (["--no-opt"], "// guarded: falls back to the reference engine: {reason}"),
+        (["--jit"], "# guarded: no jit source ({reason})"),
+        (["--jit", "--no-opt"], "# guarded: no jit source ({reason})"),
+    ],
+)
+def test_plan_fallback_comment_formats(tmp_path, capsys, flags, comment):
+    path = tmp_path / "fallback.descend"
+    path.write_text(GUARDED_SYNC)
+    assert main(["plan", str(path), *flags]) == 0
+    reason = (
+        "`sync` under a per-thread `if` needs the reference engine's"
+        " barrier-divergence detection"
+    )
+    assert capsys.readouterr().out == comment.format(reason=reason) + "\n"
 
 
 def test_syntax_error_is_reported(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import logging
 import socket as socket_module
+import sys
 import threading
 import time
 import warnings
@@ -386,6 +387,47 @@ class TestSessionThreadSafety:
         # threads racing the same cold unit may both compile it — benign
         # duplicate work, one cache winner — hence >= rather than ==.
         assert session.pass_counts["parse"]["compute"] >= len(sources)
+
+    def test_concurrent_lowerings_match_a_serial_session(self):
+        """Lowerings compute outside the lock: racing threads still agree."""
+        from repro.descend.plan import disassemble
+
+        def lowerings(compiled):
+            plan, _ = compiled.device_plan("scale_vec")
+            source, _ = compiled.plan_source("scale_vec")
+            cuda = compiled.to_cuda().full_source()
+            return cuda, compiled.to_source(), disassemble(plan), source.source
+
+        expected = lowerings(CompilerDriver(CompileSession()).compile_source(GOOD_SOURCE, "u"))
+        session = CompileSession(label="hammer")
+        compiled = CompilerDriver(session).compile_source(GOOD_SOURCE, "u")
+        results, errors = [], []
+
+        def hammer():
+            try:
+                for _ in range(10):
+                    results.append(lowerings(compiled))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert results == [expected] * 80
+        total = sum(count for tiers in session.pass_counts.values() for count in tiers.values())
+        assert total == session.hits + session.misses == len(session.timings)
+        stats = session.stats()
+        assert (stats["plans"], stats["plan_sources"], stats["cuda_modules"]) == (1, 1, 1)
+        assert stats["plan_compiles"] >= 1 and stats["plan_source_compiles"] >= 1
 
 
 class TestFacadeSurface:

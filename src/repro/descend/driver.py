@@ -351,8 +351,11 @@ class CompileSession:
         entry_key = (key, extra)
         digest = None
         with self._lock:
-            entry, tier = memory.pop(entry_key, _MISSING), "memory"
-            if entry is _MISSING and self.store is not None:
+            entry = memory.pop(entry_key, _MISSING)
+            if entry is not _MISSING:
+                memory[entry_key] = entry  # now the most recently used
+                tier = "memory"
+            elif self.store is not None:
                 digest = self.artifact_digest(artifact.kind, key, extra)
                 # The store handles cross-process races itself (flock); the
                 # lock serializes this process's threads over the store's
@@ -360,8 +363,8 @@ class CompileSession:
                 loaded = self.store.load(digest) if digest is not None else None
                 if loaded is not None and artifact.valid(loaded):
                     entry, tier = loaded, "store"
+                    self._remember(memory, entry_key, entry)
             if entry is not _MISSING:
-                self._remember(memory, entry_key, entry)  # now the most recently used
                 if isinstance(entry, DescendError):
                     detail = "failure"
                 wall = time.perf_counter() - start
@@ -710,16 +713,16 @@ class CompilerDriver:
         """Parse and type check Descend source text (cached by content hash)."""
         session = self.session
         key = session.source_key(text, name)
-        return self._serve_unit(session, _SOURCE_UNIT, key, name, self._parse, session, text, name, key)
+        entry = session.serve(_SOURCE_UNIT, key, name, self._parse, session, text, name, key)
+        return self._program_of(session, key, entry)
 
     def compile_program(self, program: T.Program) -> CompiledProgram:
         """Type check a program built with the builder API (cached by AST)."""
         session = self.session
         key = session.program_key(program)
         unit = self._unit_label(program)
-        return self._serve_unit(
-            session, _PROGRAM_UNIT, key, unit, self._typecheck, session, program, None, key, unit
-        )
+        entry = session.serve(_PROGRAM_UNIT, key, unit, self._typecheck, session, program, None, key, unit)
+        return self._program_of(session, key, entry)
 
     def compile_file(self, path: str) -> CompiledProgram:
         """Parse and type check a ``.descend`` file."""
@@ -729,25 +732,16 @@ class CompilerDriver:
 
     # -- passes ------------------------------------------------------------------
     @staticmethod
-    def _serve_unit(
-        session: CompileSession,
-        artifact: Artifact,
-        key: Optional[object],
-        unit: str,
-        compute: Callable[..., object],
-        *args: object,
-    ) -> CompiledProgram:
-        """The unit's program, or its cached compile failure raised as a copy."""
-        entry = session.serve(artifact, key, unit, compute, *args)
+    def _program_of(session: CompileSession, key: Optional[object], entry: object) -> CompiledProgram:
+        """The served unit's program; a compile failure is raised as a copy."""
         if isinstance(entry, DescendError):
             raise _detach_failure(entry)
         if entry.session is None:  # loaded from the store
             entry.session, entry.key = session, key
         return entry
 
-    def _parse(
-        self, session: CompileSession, text: str, name: str, key: Optional[object]
-    ) -> object:
+    @staticmethod
+    def _parse(session: CompileSession, text: str, name: str, key: Optional[object]) -> object:
         start = time.perf_counter()
         try:
             program = parse_program(text, name)
@@ -755,7 +749,7 @@ class CompilerDriver:
             session.record_compute(name, PASS_PARSE, start)
             return _detach_failure(exc)
         session.record_compute(name, PASS_PARSE, start)
-        return self._typecheck(session, program, SourceFile(text, name), key, name)
+        return CompilerDriver._typecheck(session, program, SourceFile(text, name), key, name)
 
     @staticmethod
     def _typecheck(

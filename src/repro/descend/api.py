@@ -514,7 +514,7 @@ class LocalBackend:
 
 
 def plan_text(
-    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool, jit: bool = False
+    compiled: CompiledProgram, unit: str, fun: Optional[str], no_opt: bool, jit: bool
 ) -> str:
     """The ``plan`` op's text (also the CLI's ``plan`` output).
 

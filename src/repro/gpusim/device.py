@@ -72,10 +72,13 @@ class GpuDevice:
     """A simulated GPU device.
 
     ``execution_mode`` selects the default engine for kernel launches:
-    ``"reference"`` (per-thread generator interpreter, the semantic baseline)
-    or ``"vectorized"`` (lockstep numpy execution, identical cycle counts,
+    ``"reference"`` (per-thread generator interpreter, the semantic baseline),
+    ``"vectorized"`` (lockstep numpy execution, identical cycle counts,
     an order of magnitude faster — requires kernels registered with
-    :func:`repro.gpusim.engine.vectorized_impl`).  Individual launches can
+    :func:`repro.gpusim.engine.vectorized_impl`) or ``"jit"`` (the
+    generated plan source of a Descend kernel over the same lockstep
+    context — requires kernels registered with
+    :func:`repro.gpusim.engine.jit_impl`).  Individual launches can
     override it via ``launch(..., execution_mode=...)``.
     """
 

@@ -307,6 +307,44 @@ def test_bench_compile_rejects_jobs(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--scales", "1"],
+        ["bench", "--descend", "--scale", "2", "--scales", "1"],
+        ["bench", "--benchmarks", "nope"],
+        ["bench", "--sizes", "huge"],
+        ["bench", "--serve", "--descend"],
+        ["bench", "--compile", "--serve"],
+        ["figure8", "--benchmarks", "histogram"],
+        ["figure8", "--engine", "warp"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_bench_flags_exit_2(argv, capsys):
+    # A usage error is exit status 2 whether it is returned or raised by a
+    # parser as SystemExit.
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_bench_serve_writes_report(tmp_path, capsys):
+    import json
+
+    out_path = tmp_path / "BENCH_serve_cli.json"
+    assert main([
+        "bench", "--serve", "--requests", "8", "--clients", "2",
+        "--output", str(out_path),
+    ]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["kind"] == "serve-throughput-bench"
+    assert payload["warm_compute_passes"] == 0
+
+
 def test_client_without_daemon_reports_connection_error(tmp_path, capsys):
     sock = str(tmp_path / "nobody-home.sock")
     # ping is idempotent: the client retries the connection, then reports a

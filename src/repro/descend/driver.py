@@ -476,10 +476,11 @@ class CompileSession:
         if not self.timings:
             return "no passes recorded"
         width = max(len(name) for name in PASS_ORDER)
-        header = f"{'unit':<28} {'pass':<{width}} {'wall':>10}  cached"
+        unit_width = max(len("unit"), *(len(timing.unit) for timing in self.timings))
+        header = f"{'unit':<{unit_width}} {'pass':<{width}} {'wall':>10}  cached"
         lines = [header, "-" * len(header)]
         lines.extend(
-            f"{timing.unit:<28} {timing.name:<{width}} {timing.wall_s * 1e3:>8.2f}ms"
+            f"{timing.unit:<{unit_width}} {timing.name:<{width}} {timing.wall_s * 1e3:>8.2f}ms"
             f"  {'store' if timing.tier == 'store' else ('yes' if timing.cached else 'no')}"
             for timing in self.timings
         )

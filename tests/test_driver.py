@@ -81,6 +81,24 @@ class TestSessionCache:
         driver.compile_source(DOUBLER, name="doubler.descend")
         assert session.timings[-1].cached
 
+    def test_timings_table_aligns_an_absolute_path_unit(self):
+        session = CompileSession()
+        unit = "/home/user/checkouts/descend-reproduction/examples/doubler.descend"
+        compiled = CompilerDriver(session).compile_source(DOUBLER, name=unit)
+        compiled.device_plan("doubler")
+        CompilerDriver(session).compile_source(DOUBLER, name="d.descend")
+        lines = session.timings_table().splitlines()
+        header, rows = lines[0], lines[2:-2]
+        pass_at = header.index("pass")
+        wall_end = header.index("wall") + len("wall")
+        assert len(rows) == len(session.timings) >= 4
+        for row in rows:
+            assert row[pass_at - 1] == " " and row[pass_at:].split()[0].startswith(
+                ("parse", "typeck", "lower")
+            )
+            assert row[wall_end - 2:wall_end] == "ms"
+            assert row[wall_end:].strip() in ("yes", "no", "store")
+
     def test_lowerings_cached(self):
         session = CompileSession()
         driver = CompilerDriver(session)

@@ -7,35 +7,23 @@ at compile time, per benchmark program.
 
 import pytest
 
+from repro.benchsuite.compilebench import PROGRAMS
 from repro.descend.ast.printer import print_program
 from repro.descend.driver import CompilerDriver, CompileSession
 from repro.descend.nat import NatVar, as_nat, clear_nat_caches, evaluate_nat, normalize
 from repro.descend.typeck import check_program, clear_typeck_caches
-from repro.descend_programs.matmul import build_matmul_program
-from repro.descend_programs.reduce import build_reduce_program
-from repro.descend_programs.scan import build_scan_program
-from repro.descend_programs.transpose import build_transpose_program
-from repro.descend_programs.vector import build_scale_program
-
-_PROGRAMS = {
-    "scale_vec": lambda: build_scale_program(n=1024, block_size=64),
-    "reduce": lambda: build_reduce_program(n=4096, block_size=64),
-    "transpose": lambda: build_transpose_program(n=64, tile=16, rows=4),
-    "scan": lambda: build_scan_program(n=2048, block_size=32, elems_per_thread=4),
-    "matmul": lambda: build_matmul_program(m=32, k=32, n=32, tile=8),
-}
 
 
-@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_typecheck_time(benchmark, name):
-    program = _PROGRAMS[name]()
+    program = PROGRAMS[name]()
     checked = benchmark(check_program, program)
     assert checked.fn_types
 
 
 def test_typecheck_cold(benchmark):
     """Typechecking with every memoization layer (nat, overlap, exec) dropped."""
-    program = _PROGRAMS["matmul"]()
+    program = PROGRAMS["matmul"]()
 
     def run():
         clear_nat_caches()
@@ -47,7 +35,7 @@ def test_typecheck_cold(benchmark):
 
 def test_driver_cold_compile(benchmark):
     """Full cold pipeline (parse + typeck) through the staged driver."""
-    text = print_program(_PROGRAMS["matmul"]())
+    text = print_program(PROGRAMS["matmul"]())
 
     def run():
         clear_nat_caches()
@@ -59,7 +47,7 @@ def test_driver_cold_compile(benchmark):
 
 def test_driver_cached_compile(benchmark):
     """The same compile hitting the session's content-addressed cache."""
-    text = print_program(_PROGRAMS["matmul"]())
+    text = print_program(PROGRAMS["matmul"]())
     driver = CompilerDriver(CompileSession())
     first = driver.compile_source(text, name="matmul.descend")
     result = benchmark(driver.compile_source, text, "matmul.descend")

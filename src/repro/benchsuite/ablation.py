@@ -13,19 +13,15 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
+from repro.benchsuite.compilebench import PROGRAMS
 from repro.benchsuite.report import format_table
 from repro.cudalite.kernels import transpose as cu_transpose
 from repro.descend.typeck import check_program
-from repro.descend_programs import matmul as d_matmul
-from repro.descend_programs import reduce as d_reduce
-from repro.descend_programs import scan as d_scan
-from repro.descend_programs import transpose as d_transpose
-from repro.descend_programs import vector as d_vector
 from repro.gpusim import GpuDevice
 
 
@@ -40,15 +36,8 @@ class TypecheckTiming:
 
 def typecheck_cost(repeats: int = 3) -> List[TypecheckTiming]:
     """A1: measure the type checker on every benchmark program."""
-    builders = {
-        "scale_vec": lambda: d_vector.build_scale_program(n=1024, block_size=64),
-        "reduce": lambda: d_reduce.build_reduce_program(n=4096, block_size=64),
-        "transpose": lambda: d_transpose.build_transpose_program(n=64, tile=16, rows=4),
-        "scan": lambda: d_scan.build_scan_program(n=2048, block_size=32, elems_per_thread=4),
-        "matmul": lambda: d_matmul.build_matmul_program(m=32, k=32, n=32, tile=8),
-    }
     timings: List[TypecheckTiming] = []
-    for name, builder in builders.items():
+    for name, builder in PROGRAMS.items():
         program = builder()
         best = float("inf")
         for _ in range(max(1, repeats)):
@@ -105,7 +94,7 @@ def coalescing_ablation(matrix_size: int = 64, tile: int = 16, rows: int = 4) ->
     )
 
 
-def main() -> int:  # pragma: no cover - exercised via the CLI/benchmarks
+def main() -> int:  # pragma: no cover - the module's only entry point
     timings = typecheck_cost()
     print("A1: type-checking cost per benchmark program")
     print(

@@ -65,7 +65,6 @@ Wire protocol (worker → coordinator, then the reply):
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import socket
 import subprocess
@@ -75,7 +74,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.descend.api import MAX_FRAME_BYTES, encode_frame
+from repro.descend.api import ProtocolError, decode_frame, encode_frame
 from repro.errors import BenchmarkError
 
 __all__ = ["SweepCoordinator", "dispatch_cells", "make_cells", "run_worker"]
@@ -137,15 +136,6 @@ def _cell_label(cell: Dict[str, object]) -> str:
     return (
         f"{cell['variant']}:{cell['benchmark']}/{cell['size']} (scale {cell['scale']})"
     )
-
-
-def _decode_line(line: bytes) -> Dict[str, object]:
-    if len(line) > MAX_FRAME_BYTES:
-        raise ValueError(f"dispatch frame exceeds {MAX_FRAME_BYTES} bytes")
-    frame = json.loads(line.decode("utf-8"))
-    if not isinstance(frame, dict):
-        raise ValueError("dispatch frame must be a JSON object")
-    return frame
 
 
 class SweepCoordinator:
@@ -264,8 +254,8 @@ class SweepCoordinator:
                     if not line:
                         break
                     try:
-                        frame = _decode_line(line)
-                    except ValueError:
+                        frame = decode_frame(line)
+                    except ProtocolError:
                         break
                     op = frame.get("op")
                     if op == "hello":
@@ -466,7 +456,7 @@ def run_worker(
                 line = reader.readline()
                 if not line:
                     return 1
-                reply = _decode_line(line)
+                reply = decode_frame(line)
                 op = reply.get("op")
                 if op == "done":
                     return 0
@@ -510,7 +500,7 @@ def run_worker(
                         }
                     )
                 )
-    except (OSError, ValueError) as exc:
+    except (OSError, ProtocolError) as exc:
         print(f"sweep-worker: lost coordinator {address}: {exc}", file=sys.stderr)
         return 1
 

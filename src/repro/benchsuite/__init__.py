@@ -7,7 +7,8 @@
   (handwritten) and Descend (generated) variants and verifies both results,
 * :mod:`repro.benchsuite.figure8` — the Figure 8 table: relative median
   runtimes of CUDA vs Descend per benchmark and size, plus the mean,
-* :mod:`repro.benchsuite.report` — plain-text table formatting,
+* :mod:`repro.benchsuite.report` — text tables and the one ``BENCH_*.json``
+  writer every ``descendc bench``/``figure8`` run reports through,
 * :mod:`repro.benchsuite.ablation` — additional studies (coalescing, type
   checking cost),
 * :mod:`repro.benchsuite.enginebench` — reference vs vectorized engine

@@ -21,24 +21,21 @@ session cache buys:
   of deserializing them back (``plan_deserialize_s``) — the cost a warm
   process pays instead of the ``lower.plan`` re-lowering it used to run.
 
-``python -m repro.cli bench --compile`` writes ``BENCH_compile_time.json``
+``descendc bench --compile`` writes ``BENCH_compile_time.json``
 (uploaded by the CI bench-smoke job), extending the repo's BENCH_*.json
 trajectory to compile time.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import math
 import pickle
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.benchsuite.report import format_table
+from repro.benchsuite.report import format_table, json_number
 from repro.descend.ast.printer import print_program
 from repro.descend.driver import (
     PASS_LOWER_CUDA,
@@ -102,7 +99,7 @@ class CompileBenchRow:
             "cached_pass_s": self.cached_pass_s,
             "cold_total_s": self.cold_total_s,
             "cached_total_s": self.cached_total_s,
-            "speedup": self.speedup,
+            "speedup": json_number(self.speedup),
             "diagnostics_digest": self.diagnostics_digest,
             "cuda_digest": self.cuda_digest,
             "plan_bytes": self.plan_bytes,
@@ -136,8 +133,8 @@ class CompileBenchResult:
         payload: Dict[str, object] = {
             "kind": self.kind,
             "programs": [row.as_dict() for row in self.rows],
-            "geometric_mean_speedup": self.geometric_mean_speedup,
-            "min_speedup": self.min_speedup,
+            "geometric_mean_speedup": json_number(self.geometric_mean_speedup),
+            "min_speedup": json_number(self.min_speedup),
             "total_plan_bytes": sum(row.plan_bytes for row in self.rows),
         }
         if self.dispatch_micro:
@@ -341,51 +338,3 @@ def run_compile_bench(
         progress("plan-source dispatch micro-benchmark ...")
     result.dispatch_micro = bench_dispatch(repeats=repeats)
     return result
-
-
-def write_report(result: CompileBenchResult, path: str, quick: bool = False) -> Dict[str, object]:
-    """Write the JSON report CI uploads as a bench-smoke artifact."""
-    payload = dict(result.as_dict())
-    payload["quick"] = quick
-    payload["created_unix"] = time.time()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Benchmark compile time (staged driver passes, cold vs cached)"
-    )
-    parser.add_argument(
-        "--programs", nargs="*", default=list(PROGRAMS), choices=list(PROGRAMS)
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--quick", action="store_true", help="single repeat (CI smoke)")
-    parser.add_argument("--output", default="BENCH_compile_time.json")
-    parser.add_argument("--json", action="store_true", help="print the JSON payload to stdout")
-    args = parser.parse_args(argv)
-
-    repeats = 1 if args.quick else args.repeats
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    try:
-        result = run_compile_bench(programs=args.programs, repeats=repeats, progress=progress)
-    except BenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload = write_report(result, args.output, quick=args.quick)
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output!r}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.to_table())
-    print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

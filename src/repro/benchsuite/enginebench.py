@@ -1,7 +1,6 @@
 """Engine benchmark: reference vs vectorized on the Figure 8 workloads.
 
-Running ``python -m repro.cli bench`` (or ``python -m
-repro.benchsuite.enginebench``) executes every selected Figure 8 workload
+Running ``descendc bench`` executes every selected Figure 8 workload
 twice — once per execution engine — and reports
 
 * the simulated kernel cycles of both engines (they must be *identical*;
@@ -17,7 +16,10 @@ sweeps workload *scales* (``--scales 1 4``) to record the interpreter's
 scaling headroom, and runs a third column — the ``jit`` engine, which
 executes the generated straight-line source of the
 ``lower.plan.codegen`` pass — under the same exact-parity oracle; its
-report is written to ``BENCH_descend_engine.json``.
+report is written to ``BENCH_descend_engine.json``.  Every engine run
+goes through :func:`~repro.benchsuite.runner.run_variant`, which also
+rejects a wrong result, a data race, or a launch that ran on another
+engine.
 
 The JSON reports (``BENCH_*.json``) are uploaded as CI artifacts by the
 bench-smoke job so the speedup trajectory accumulates over time.
@@ -25,28 +27,17 @@ bench-smoke job so the speedup trajectory accumulates over time.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import socket
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.benchsuite.report import format_bytes, format_table
-from repro.benchsuite.runner import (
-    _CUDA_RUNNERS,
-    _DESCEND_RUNNERS,
-    _reference_and_data,
-    precompile_descend,
-)
-from repro.benchsuite.workloads import BENCHMARKS, SIZES, Workload, scale_factor, workload
+from repro.benchsuite.report import format_bytes, format_table, json_number
+from repro.benchsuite.runner import _reference_and_data, precompile_descend, run_variant
+from repro.benchsuite.workloads import BENCHMARKS, scale_factor, workload
 from repro.errors import BenchmarkError
-from repro.gpusim import GpuDevice
 
 #: The Descend engine sweep covers the Figure 8 benchmarks plus the
 #: histogram and stencil workloads; the CUDA-lite sweep keeps the golden
@@ -82,30 +73,13 @@ QUICK_DESCEND_ROWS = (("small", 1),)
 #: identical between serial and parallel sweeps.
 REF_SECONDS_PER_CYCLE = 3e-4
 #: Default per-row budget (seconds) for the reference-engine column of the
-#: Descend sweep; override with ``--budget`` or ``REPRO_BENCH_BUDGET_S``.
+#: Descend sweep; override with ``--budget``.
 DEFAULT_REF_BUDGET_S = 600.0
-
-
-def default_budget_s() -> float:
-    """The reference-column budget: ``REPRO_BENCH_BUDGET_S`` or the default."""
-    try:
-        return float(os.environ.get("REPRO_BENCH_BUDGET_S", DEFAULT_REF_BUDGET_S))
-    except ValueError:
-        return DEFAULT_REF_BUDGET_S
 
 
 def estimate_reference_wall_s(cycles: float) -> float:
     """Deterministic upper estimate of a reference-engine run's wall-clock."""
     return cycles * REF_SECONDS_PER_CYCLE
-
-
-def _json_number(value: Optional[float]) -> Optional[float]:
-    """Non-finite floats become ``None``: ``json.dump`` would otherwise emit
-    ``NaN``/``Infinity``, which is not valid JSON for strict consumers of the
-    ``BENCH_*.json`` artifacts."""
-    if value is None or not math.isfinite(value):
-        return None
-    return value
 
 
 @dataclass
@@ -181,8 +155,8 @@ class EngineBenchRow:
             "reference_wall_s": self.reference_wall_s,
             "vectorized_wall_s": self.vectorized_wall_s,
             "jit_wall_s": self.jit_wall_s,
-            "speedup": _json_number(self.speedup),
-            "jit_speedup": _json_number(self.jit_speedup),
+            "speedup": json_number(self.speedup),
+            "jit_speedup": json_number(self.jit_speedup),
             "footprint_bytes": self.footprint_bytes,
             "skipped": self.skipped,
             "retries": self.retries,
@@ -278,9 +252,9 @@ class EngineBenchResult:
             "kind": self.kind,
             "workloads": [row.as_dict() for row in self.rows],
             "all_cycles_match": self.all_cycles_match,
-            "geometric_mean_speedup": _json_number(self.geometric_mean_speedup),
-            "geometric_mean_jit_speedup": _json_number(self.geometric_mean_jit_speedup),
-            "min_speedup": _json_number(self.min_speedup),
+            "geometric_mean_speedup": json_number(self.geometric_mean_speedup),
+            "geometric_mean_jit_speedup": json_number(self.geometric_mean_jit_speedup),
+            "min_speedup": json_number(self.min_speedup),
             "skipped_rows": sum(1 for row in self.rows if row.skipped is not None),
             "compile_passes": self.compile_passes,
         }
@@ -331,35 +305,6 @@ class EngineBenchResult:
         return summary
 
 
-def _time_variant(runner, workload_: Workload, data, reference, engine: str, repeats: int):
-    """Best-of-``repeats`` wall-clock of simulating the workload on one engine."""
-    best_wall = float("inf")
-    cycles = float("nan")
-    for _ in range(max(1, repeats)):
-        device = GpuDevice(execution_mode=engine)
-        start = time.perf_counter()
-        cycles, result, races, _stats = runner(device, workload_.params, data)
-        wall = time.perf_counter() - start
-        best_wall = min(best_wall, wall)
-        if races:
-            raise BenchmarkError(
-                f"{workload_.label} reported {races} data races under the {engine} engine"
-            )
-        if not np.allclose(result, reference):
-            raise BenchmarkError(
-                f"{workload_.label} produced a wrong result under the {engine} engine"
-            )
-        # A Descend launch silently falling back to the reference interpreter
-        # would fake the speedup this benchmark exists to measure.
-        for launch in device.launch_log:
-            if launch.execution_mode != engine:
-                raise BenchmarkError(
-                    f"{workload_.label}: launch `{launch.kernel_name}` ran on the "
-                    f"{launch.execution_mode} engine instead of {engine}"
-                )
-    return cycles, best_wall
-
-
 def host_label() -> str:
     """This process's row-attribution label (``hostname:pid``)."""
     return f"{socket.gethostname()}:{os.getpid()}"
@@ -395,65 +340,49 @@ def compare_engines(
     """
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)
-    runners = _DESCEND_RUNNERS if variant == "descend" else _CUDA_RUNNERS
-    runner = runners[benchmark]
     if variant == "descend":
         # Warm the compile cache outside the timed regions so both engines
         # measure pure execution: without this the first timed run would pay
         # the cold typeck (or warm it from the attached artifact store) that
         # later runs then get from the cache.
         precompile_descend(benchmark, workload_.params)
-    vec_cycles, vec_wall = _time_variant(runner, workload_, data, reference, "vectorized", repeats)
-    jit_cycles: Optional[float] = None
-    jit_wall: Optional[float] = None
+    vec = run_variant(variant, workload_, data, reference, "vectorized", repeats)
+    jit = None
     if variant == "descend":
         # The jit column never depends on the reference run, so it is
         # measured even on budget-skipped rows — the biggest rows are
         # exactly where codegen pays off.
-        jit_cycles, jit_wall = _time_variant(runner, workload_, data, reference, "jit", repeats)
-        if jit_cycles != vec_cycles:
+        jit = run_variant(variant, workload_, data, reference, "jit", repeats)
+        if jit.cycles != vec.cycles:
             raise BenchmarkError(
                 f"cycle-count parity violated for {workload_.label} ({variant}): "
-                f"jit={jit_cycles} vectorized={vec_cycles}"
+                f"jit={jit.cycles} vectorized={vec.cycles}"
             )
-    if budget_s is not None and estimate_reference_wall_s(vec_cycles) > budget_s:
-        _emulate_device_wait(vec_cycles, 2 if jit_cycles is not None else 1, device_s_per_cycle)
-        return EngineBenchRow(
-            benchmark=benchmark,
-            size=size,
-            reference_cycles=None,
-            vectorized_cycles=vec_cycles,
-            reference_wall_s=None,
-            vectorized_wall_s=vec_wall,
-            footprint_bytes=workload_.footprint_bytes(),
-            variant=variant,
-            scale=scale_factor(scale),
-            skipped="budget",
-            jit_cycles=jit_cycles,
-            jit_wall_s=jit_wall,
-            host=host_label(),
-        )
-    ref_cycles, ref_wall = _time_variant(runner, workload_, data, reference, "reference", repeats)
+    ref = None
+    if budget_s is None or estimate_reference_wall_s(vec.cycles) <= budget_s:
+        ref = run_variant(variant, workload_, data, reference, "reference", repeats)
     row = EngineBenchRow(
         benchmark=benchmark,
         size=size,
-        reference_cycles=ref_cycles,
-        vectorized_cycles=vec_cycles,
-        reference_wall_s=ref_wall,
-        vectorized_wall_s=vec_wall,
+        reference_cycles=ref.cycles if ref is not None else None,
+        vectorized_cycles=vec.cycles,
+        reference_wall_s=ref.wall_s if ref is not None else None,
+        vectorized_wall_s=vec.wall_s,
         footprint_bytes=workload_.footprint_bytes(),
         variant=variant,
         scale=scale_factor(scale),
-        jit_cycles=jit_cycles,
-        jit_wall_s=jit_wall,
+        skipped="budget" if ref is None else None,
+        jit_cycles=jit.cycles if jit is not None else None,
+        jit_wall_s=jit.wall_s if jit is not None else None,
         host=host_label(),
     )
-    if not row.cycles_match:
+    if ref is not None and not row.cycles_match:
         raise BenchmarkError(
             f"cycle-count parity violated for {workload_.label} ({variant}): "
-            f"reference={ref_cycles} vectorized={vec_cycles}"
+            f"reference={ref.cycles} vectorized={vec.cycles}"
         )
-    _emulate_device_wait(vec_cycles, 3 if jit_cycles is not None else 2, device_s_per_cycle)
+    engine_runs = 1 + (jit is not None) + (ref is not None)
+    _emulate_device_wait(vec.cycles, engine_runs, device_s_per_cycle)
     return row
 
 
@@ -574,7 +503,7 @@ def run_descend_engine_bench(
     ``(size, scale)`` rows: pass ``rows`` directly, or ``sizes`` / ``scales``
     to take their cartesian product; the default is :data:`DESCEND_ROWS`.
 
-    ``budget_s`` (default: :func:`default_budget_s`) caps the per-row
+    ``budget_s`` (default: :data:`DEFAULT_REF_BUDGET_S`) caps the per-row
     reference-engine wall-clock; over-budget rows keep their vectorized
     column and record ``"skipped": "budget"``.  ``jobs > 1`` dispatches the
     rows to worker processes, each warming from the shared artifact store
@@ -590,7 +519,7 @@ def run_descend_engine_bench(
                 for size in (sizes if sizes is not None else QUICK_SIZES)
             )
     if budget_s is None:
-        budget_s = default_budget_s()
+        budget_s = DEFAULT_REF_BUDGET_S
     specs = [
         (benchmark, size, scale)
         for size, scale in rows
@@ -600,135 +529,3 @@ def run_descend_engine_bench(
         "descend", specs, "descend-engine-bench", repeats, budget_s, jobs,
         store_path, progress,
     )
-
-
-def write_report(result: EngineBenchResult, path: str, quick: bool = False) -> Dict[str, object]:
-    """Write the JSON report CI uploads as the bench-smoke artifact."""
-    payload = dict(result.as_dict())
-    payload["quick"] = quick
-    payload["created_unix"] = time.time()
-    with open(path, "w", encoding="utf-8") as handle:
-        # allow_nan=False: the report must stay valid JSON for strict
-        # consumers (jq, JSON.parse); non-finite aggregates are already
-        # mapped to null by as_dict.
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
-    return payload
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Benchmark the reference vs the vectorized execution engine"
-    )
-    parser.add_argument(
-        "--benchmarks", nargs="*", default=None, choices=list(DESCEND_BENCHMARKS),
-        help="workloads to sweep (default: the Figure 8 four, plus histogram "
-        "and stencil with --descend)",
-    )
-    parser.add_argument("--sizes", nargs="*", default=None, choices=list(SIZES))
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI smoke subset: sizes {QUICK_SIZES} (and rows {QUICK_DESCEND_ROWS} with --descend)",
-    )
-    parser.add_argument(
-        "--descend", action="store_true",
-        help="benchmark the Descend programs (device-plan backend) instead of the CUDA-lite kernels",
-    )
-    parser.add_argument(
-        "--scales", nargs="*", type=int, default=None,
-        help=f"workload scales for the Descend variant (default rows: {list(DESCEND_ROWS)})",
-    )
-    parser.add_argument(
-        "--scale", type=int, default=None,
-        help="workload scale for the CUDA-lite variant (overrides REPRO_SCALE)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="dispatch the sweep to N pull-based worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=None,
-        help="per-row reference-engine wall-clock budget in seconds for the Descend "
-        "sweep (default: REPRO_BENCH_BUDGET_S or "
-        f"{DEFAULT_REF_BUDGET_S:.0f}); over-budget rows record skipped=budget",
-    )
-    parser.add_argument(
-        "--store", default=None,
-        help="persistent artifact store (directory or store URL) warming the "
-        "compile caches (shared by every sweep worker with --jobs)",
-    )
-    parser.add_argument(
-        "--output", default=None,
-        help="path of the JSON report (default: BENCH_engine.json, "
-        "or BENCH_descend_engine.json with --descend)",
-    )
-    parser.add_argument("--json", action="store_true", help="print the JSON payload to stdout")
-    args = parser.parse_args(argv)
-
-    if args.output is None:
-        args.output = "BENCH_descend_engine.json" if args.descend else "BENCH_engine.json"
-    if args.scales and not args.descend:
-        parser.error("--scales applies to the Descend variant; use --scale with the CUDA-lite bench")
-    if args.descend and args.scale is not None and args.scales:
-        parser.error("pass either --scale or --scales, not both")
-    benchmarks = (
-        list(args.benchmarks)
-        if args.benchmarks
-        else (list(DESCEND_BENCHMARKS) if args.descend else list(BENCHMARKS))
-    )
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    try:
-        if args.descend:
-            sizes = list(args.sizes) if args.sizes else None
-            if args.scales:
-                scales: Optional[List[int]] = list(args.scales)
-            elif args.scale is not None:
-                scales = [args.scale]
-            elif args.quick:
-                # CI smoke subset: the QUICK_DESCEND_ROWS footprint.
-                scales = list(QUICK_DESCEND_SCALES)
-                sizes = sizes if sizes is not None else list(QUICK_SIZES)
-            else:
-                scales = None
-            result = run_descend_engine_bench(
-                benchmarks=benchmarks,
-                sizes=sizes,
-                scales=scales,
-                repeats=args.repeats,
-                progress=progress,
-                budget_s=args.budget,
-                jobs=args.jobs,
-                store_path=args.store,
-            )
-        else:
-            sizes = args.sizes if args.sizes else (
-                list(QUICK_SIZES) if args.quick else list(DEFAULT_SIZES)
-            )
-            result = run_engine_bench(
-                benchmarks=benchmarks,
-                sizes=sizes,
-                repeats=args.repeats,
-                progress=progress,
-                scale=args.scale,
-                jobs=args.jobs,
-                store_path=args.store,
-            )
-    except BenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload = write_report(result, args.output, quick=args.quick)
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output!r}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.to_table())
-    print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

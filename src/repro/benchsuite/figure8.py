@@ -1,6 +1,6 @@
 """Figure 8: relative runtimes between handwritten CUDA and Descend.
 
-Running ``python -m repro.benchsuite.figure8`` regenerates the figure's data:
+Running ``descendc figure8`` regenerates the figure's data:
 for every benchmark (Reduce, Transpose, Scan, MM) and every footprint size
 (small, medium, large) it reports the simulated kernel cycles of the
 handwritten CUDA-lite implementation and of the Descend implementation, their
@@ -13,16 +13,13 @@ runtime is ~1.0 for every benchmark and size.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.benchsuite.report import format_bytes, format_table
+from repro.benchsuite.report import format_bytes, format_table, json_number
 from repro.benchsuite.runner import BenchmarkRun, run_benchmark_pair
-from repro.benchsuite.workloads import BENCHMARKS, SIZES, workload
+from repro.benchsuite.workloads import BENCHMARKS, SIZES
 
 
 @dataclass
@@ -63,7 +60,7 @@ class Figure8Result:
     def as_dict(self) -> Dict[str, object]:
         return {
             "rows": [row.as_dict() for row in self.rows],
-            "geometric_mean_relative_runtime": self.geometric_mean,
+            "geometric_mean_relative_runtime": json_number(self.geometric_mean),
         }
 
     def to_table(self) -> str:
@@ -119,39 +116,3 @@ def _row_from_run(run: BenchmarkRun) -> Figure8Row:
         relative=run.relative_runtime,
         footprint_bytes=run.workload.footprint_bytes(),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate Figure 8 of the Descend paper")
-    parser.add_argument("--benchmarks", nargs="*", default=list(BENCHMARKS), choices=list(BENCHMARKS))
-    parser.add_argument("--sizes", nargs="*", default=list(SIZES), choices=list(SIZES))
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument(
-        "--engine", default="reference", choices=("reference", "vectorized", "jit"),
-        help="execution engine for both variants (cycle counts are identical; "
-        "jit applies to the Descend side, the CUDA-lite side runs vectorized)",
-    )
-    parser.add_argument(
-        "--scale", type=int, default=None,
-        help="workload scale factor (overrides the REPRO_SCALE environment variable)",
-    )
-    parser.add_argument("--json", action="store_true", help="print machine-readable JSON")
-    args = parser.parse_args(argv)
-
-    result = run_figure8(
-        benchmarks=args.benchmarks,
-        sizes=args.sizes,
-        repeats=args.repeats,
-        progress=lambda msg: print(msg, file=sys.stderr),
-        engine=args.engine,
-        scale=args.scale,
-    )
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2))
-    else:
-        print(result.to_table())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -6,7 +6,8 @@ For every workload the runner
 2. runs the handwritten CUDA-lite kernels on the simulator,
 3. builds the equivalent Descend program, type checks it, and executes it on
    the same simulator (through the Descend interpreter),
-4. verifies both results against a numpy reference,
+4. checks every run (:func:`run_variant`): the result against a numpy
+   reference, no data race, and every launch on the engine asked for,
 5. reports the simulated kernel cycles of both variants (for scan: the sum of
    the two kernels, as the paper measures).
 
@@ -18,6 +19,7 @@ parameter exists so the harness structure matches the paper's methodology.
 from __future__ import annotations
 
 import statistics
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -44,12 +46,15 @@ from repro.gpusim import GpuDevice
 
 @dataclass
 class VariantRun:
-    """Result of running one variant (CUDA-lite or Descend) of a workload."""
+    """Result of running one variant (CUDA-lite or Descend) of a workload.
+
+    Only checked runs produce one: :func:`run_variant` raises on a wrong
+    result, a data race or an engine fallback.
+    """
 
     cycles: float
+    wall_s: float
     kernel_cycles: List[float] = field(default_factory=list)
-    correct: bool = True
-    races: int = 0
     stats: Dict[str, float] = field(default_factory=dict)
 
 
@@ -363,24 +368,43 @@ _DESCEND_RUNNERS = {
 }
 
 
-def _run_variant(
-    runner, workload_: Workload, data, reference, repeats: int, engine: str = "reference"
+def run_variant(
+    variant: str, workload_: Workload, data, reference, engine: str, repeats: int = 1
 ) -> VariantRun:
+    """Run one variant (``"cudalite"`` or ``"descend"``) of a workload on one engine.
+
+    Every repeat runs on a fresh device and is checked: a wrong result, a
+    data race, or a launch that ran on another engine raises
+    :class:`BenchmarkError`.  A Descend launch silently falling back to the
+    reference interpreter would fake both Figure 8's engine choice and the
+    engine benchmark's speedup.  ``wall_s`` is the best-of-``repeats``
+    wall-clock of the runner call alone.
+    """
+    runner = (_DESCEND_RUNNERS if variant == "descend" else _CUDA_RUNNERS)[workload_.benchmark]
+    where = f"{variant} {workload_.label} under the {engine} engine"
     cycles_per_run: List[float] = []
-    races = 0
-    correct = True
+    best_wall = float("inf")
     stats: Dict[str, float] = {}
     for _ in range(max(1, repeats)):
         device = GpuDevice(execution_mode=engine)
-        cycles, result, run_races, stats = runner(device, workload_.params, data)
+        start = time.perf_counter()
+        cycles, result, races, stats = runner(device, workload_.params, data)
+        best_wall = min(best_wall, time.perf_counter() - start)
+        if races:
+            raise BenchmarkError(f"{where} reported {races} data races")
+        if not np.allclose(result, reference):
+            raise BenchmarkError(f"{where} produced a wrong result")
+        for launch in device.launch_log:
+            if launch.execution_mode != engine:
+                raise BenchmarkError(
+                    f"{where}: launch `{launch.kernel_name}` ran on the "
+                    f"{launch.execution_mode} engine"
+                )
         cycles_per_run.append(cycles)
-        races += run_races
-        correct = correct and np.allclose(result, reference)
     return VariantRun(
         cycles=statistics.median(cycles_per_run),
+        wall_s=best_wall,
         kernel_cycles=cycles_per_run,
-        correct=correct,
-        races=races,
         stats=stats,
     )
 
@@ -408,10 +432,6 @@ def run_benchmark_pair(
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)
     cuda_engine = "vectorized" if engine == "jit" else engine
-    cuda = _run_variant(_CUDA_RUNNERS[benchmark], workload_, data, reference, repeats, engine=cuda_engine)
-    descend = _run_variant(_DESCEND_RUNNERS[benchmark], workload_, data, reference, repeats, engine=engine)
-    if not cuda.correct:
-        raise BenchmarkError(f"CUDA-lite produced a wrong result for {workload_.label}")
-    if not descend.correct:
-        raise BenchmarkError(f"Descend produced a wrong result for {workload_.label}")
+    cuda = run_variant("cudalite", workload_, data, reference, cuda_engine, repeats)
+    descend = run_variant("descend", workload_, data, reference, engine, repeats)
     return BenchmarkRun(workload=workload_, cuda=cuda, descend=descend)

@@ -22,17 +22,14 @@ percentiles (p50/p99).  ``descendc bench --serve`` writes
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.benchsuite.compilebench import PROGRAMS
-from repro.benchsuite.report import format_table
+from repro.benchsuite.report import format_table, json_number
 from repro.descend.api import DescendClient, LocalBackend, Response
 from repro.descend.ast.printer import print_program
 from repro.descend.serve import ServeConfig, ServerThread
@@ -79,9 +76,9 @@ class ServePhaseRow:
             "clients": self.clients,
             "errors": self.errors,
             "wall_s": self.wall_s,
-            "rps": self.rps,
-            "p50_ms": self.percentile_ms(0.50),
-            "p99_ms": self.percentile_ms(0.99),
+            "rps": json_number(self.rps),
+            "p50_ms": json_number(self.percentile_ms(0.50)),
+            "p99_ms": json_number(self.percentile_ms(0.99)),
             "compute_passes": self.compute_passes,
             "pass_tiers": self.pass_tiers,
         }
@@ -229,53 +226,3 @@ def run_serve_bench(
                 )
             result.rows.append(row)
     return result
-
-
-def write_report(result: ServeBenchResult, path: str, quick: bool = False) -> Dict[str, object]:
-    """Write the JSON report CI uploads as a bench-smoke artifact."""
-    payload = dict(result.as_dict())
-    payload["quick"] = quick
-    payload["created_unix"] = time.time()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Load-test the compile-service daemon (cold vs warm store)"
-    )
-    parser.add_argument("--requests", type=int, default=None, help="requests per phase")
-    parser.add_argument("--clients", type=int, default=DEFAULT_CLIENTS)
-    parser.add_argument("--quick", action="store_true", help="smaller run (CI smoke)")
-    parser.add_argument("--output", default="BENCH_serve_throughput.json")
-    parser.add_argument("--json", action="store_true", help="print the JSON payload to stdout")
-    args = parser.parse_args(argv)
-
-    requests = args.requests
-    if requests is None:
-        requests = QUICK_REQUESTS if args.quick else DEFAULT_REQUESTS
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    try:
-        result = run_serve_bench(
-            requests=requests, clients=max(1, args.clients), progress=progress
-        )
-    except BenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload = write_report(result, args.output, quick=args.quick)
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output!r}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.to_table())
-    print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

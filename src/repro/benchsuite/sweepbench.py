@@ -24,21 +24,20 @@ otherwise drown the overlap.  Both parameters land in the JSON payload.
 
 Wall time includes worker spawn: the claim is end-to-end sweep latency,
 not per-cell throughput.  ``descendc bench`` does not front this module
-(it is a meta-benchmark of the dispatcher, not of the engines); CI runs it
-directly via ``python -m repro.benchsuite.sweepbench --quick``.
+(it is a meta-benchmark of the dispatcher, not of the engines); its
+:func:`main` is the only entry point, run as
+``python -m repro.benchsuite.sweepbench --quick``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.benchsuite.report import format_table
+from repro.benchsuite.report import format_table, progress, run_and_report
 from repro.descend.api import LocalBackend
 from repro.descend.serve import ServeConfig, ServerThread
 from repro.errors import BenchmarkError
@@ -268,19 +267,6 @@ def run_sweep_bench(
     return result
 
 
-def write_report(result: SweepBenchResult, path: str, quick: bool = False) -> Dict[str, object]:
-    """Write the JSON report CI uploads as a distributed-smoke artifact."""
-    payload = dict(result.as_dict())
-    payload["quick"] = quick
-    payload["device_s_per_cycle"] = DEVICE_S_PER_CYCLE
-    payload["budget_s"] = SCALING_BUDGET_S
-    payload["created_unix"] = time.time()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return payload
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Scaling benchmark of the distributed sweep dispatcher"
@@ -310,38 +296,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if scales is None:
         scales = QUICK_SCALES if args.quick else DEFAULT_SCALES
     ladder = tuple(args.workers) if args.workers else WORKER_LADDER
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    try:
+
+    def run() -> SweepBenchResult:
         result = run_sweep_bench(
             scales=scales, repeats=max(1, args.repeats), ladder=ladder,
             progress=progress,
         )
-    except BenchmarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    speedup = result.speedup_4w
-    if (
-        args.min_speedup is not None
-        and (speedup is None or speedup < args.min_speedup)
-    ):
-        print(
-            f"error: 4-worker warm speedup "
-            f"{'n/a' if speedup is None else f'{speedup:.2f}x'} is below the "
-            f"required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        payload = write_report(result, args.output, quick=args.quick)
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output!r}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.to_table())
-    print(f"wrote {args.output}", file=sys.stderr)
-    return 0
+        speedup = result.speedup_4w
+        if args.min_speedup is not None and (speedup is None or speedup < args.min_speedup):
+            raise BenchmarkError(
+                f"4-worker warm speedup "
+                f"{'n/a' if speedup is None else f'{speedup:.2f}x'} is below the "
+                f"required {args.min_speedup:.2f}x"
+            )
+        return result
+
+    extra = {"device_s_per_cycle": DEVICE_S_PER_CYCLE, "budget_s": SCALING_BUDGET_S}
+    return run_and_report(run, args.output, args.json, quick=args.quick, extra=extra)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -347,21 +347,42 @@ def cmd_client(args: argparse.Namespace) -> int:
     return _emit(args, response)
 
 
-def cmd_figure8(args: argparse.Namespace) -> int:
-    from repro.benchsuite import figure8
+def _bad_choice(flag: str, values: Optional[Sequence[str]], choices: Sequence[str]) -> bool:
+    """Report the first of ``values`` outside ``choices``, as argparse would."""
+    for value in values or ():
+        if value not in choices:
+            print(
+                f"error: argument {flag}: invalid choice: {value!r} "
+                f"(choose from {', '.join(choices)})",
+                file=sys.stderr,
+            )
+            return True
+    return False
 
-    forwarded = []
-    if args.benchmarks:
-        forwarded += ["--benchmarks", *args.benchmarks]
-    if args.sizes:
-        forwarded += ["--sizes", *args.sizes]
-    if args.engine:
-        forwarded += ["--engine", args.engine]
-    if args.scale is not None:
-        forwarded += ["--scale", str(args.scale)]
-    if args.json:
-        forwarded.append("--json")
-    return figure8.main(forwarded)
+
+def cmd_figure8(args: argparse.Namespace) -> int:
+    # The benchsuite is imported here, not at module level, so the compiler
+    # sub-commands start without it; flag choices are checked against it
+    # for the same reason.
+    from repro.benchsuite.figure8 import run_figure8
+    from repro.benchsuite.report import progress, run_and_report
+    from repro.benchsuite.workloads import BENCHMARKS, SIZES
+
+    if _bad_choice("--benchmarks", args.benchmarks, BENCHMARKS) or _bad_choice(
+        "--sizes", args.sizes, SIZES
+    ):
+        return 2
+    return run_and_report(
+        lambda: run_figure8(
+            benchmarks=args.benchmarks or BENCHMARKS,
+            sizes=args.sizes or SIZES,
+            progress=progress,
+            engine=args.engine,
+            scale=args.scale,
+        ),
+        output=None,
+        as_json=args.json,
+    )
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -372,128 +393,100 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.compile and args.serve:
         print("error: --compile and --serve are mutually exclusive", file=sys.stderr)
         return 2
+    if args.compile and workload_flags:
+        print(
+            "error: --compile benchmarks the compiler itself and does not take "
+            "workload flags (--descend/--benchmarks/--sizes/--scales/--scale/"
+            "--jobs/--budget); combine it only with --quick/--repeats/--output/--json",
+            file=sys.stderr,
+        )
+        return 2
+    if args.serve and workload_flags:
+        print(
+            "error: --serve load-tests the compile-service daemon and does not "
+            "take workload flags (--descend/--benchmarks/--sizes/--scales/"
+            "--scale/--jobs/--budget); combine it only with "
+            "--quick/--requests/--clients/--output/--json",
+            file=sys.stderr,
+        )
+        return 2
+    from repro.benchsuite.report import progress, run_and_report
+
     if args.compile:
-        if workload_flags:
-            print(
-                "error: --compile benchmarks the compiler itself and does not take "
-                "workload flags (--descend/--benchmarks/--sizes/--scales/--scale/"
-                "--jobs/--budget); combine it only with --quick/--repeats/--output/--json",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.benchsuite import compilebench
+        from repro.benchsuite.compilebench import run_compile_bench
 
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.repeats:
-            forwarded += ["--repeats", str(args.repeats)]
-        if args.output:
-            forwarded += ["--output", args.output]
-        if args.json:
-            forwarded.append("--json")
-        return compilebench.main(forwarded)
-
+        repeats = 1 if args.quick else (args.repeats or 3)
+        return run_and_report(
+            lambda: run_compile_bench(repeats=repeats, progress=progress),
+            args.output or "BENCH_compile_time.json", args.json, quick=args.quick,
+        )
     if args.serve:
-        if workload_flags:
-            print(
-                "error: --serve load-tests the compile-service daemon and does not "
-                "take workload flags (--descend/--benchmarks/--sizes/--scales/"
-                "--scale/--jobs/--budget); combine it only with "
-                "--quick/--requests/--clients/--output/--json",
-                file=sys.stderr,
-            )
-            return 2
         from repro.benchsuite import servebench
 
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.requests is not None:
-            forwarded += ["--requests", str(args.requests)]
-        if args.clients is not None:
-            forwarded += ["--clients", str(args.clients)]
-        if args.output:
-            forwarded += ["--output", args.output]
-        if args.json:
-            forwarded.append("--json")
-        return servebench.main(forwarded)
+        requests = args.requests
+        if requests is None:
+            requests = servebench.QUICK_REQUESTS if args.quick else servebench.DEFAULT_REQUESTS
+        clients = servebench.DEFAULT_CLIENTS if args.clients is None else max(1, args.clients)
+        return run_and_report(
+            lambda: servebench.run_serve_bench(requests=requests, clients=clients, progress=progress),
+            args.output or "BENCH_serve_throughput.json", args.json, quick=args.quick,
+        )
 
     from repro.benchsuite import enginebench
+    from repro.benchsuite.workloads import BENCHMARKS, SIZES
 
-    forwarded = []
-    if args.benchmarks:
-        forwarded += ["--benchmarks", *args.benchmarks]
-    if args.sizes:
-        forwarded += ["--sizes", *args.sizes]
-    if args.quick:
-        forwarded.append("--quick")
+    if _bad_choice("--benchmarks", args.benchmarks, enginebench.DESCEND_BENCHMARKS) or _bad_choice(
+        "--sizes", args.sizes, SIZES
+    ):
+        return 2
+    if args.scales and not args.descend:
+        print(
+            "error: --scales applies to the Descend variant; use --scale with the "
+            "CUDA-lite bench",
+            file=sys.stderr,
+        )
+        return 2
+    if args.descend and args.scale is not None and args.scales:
+        print("error: pass either --scale or --scales, not both", file=sys.stderr)
+        return 2
+    sweep = dict(
+        repeats=args.repeats or 1,
+        progress=progress,
+        jobs=1 if args.jobs is None else args.jobs,
+        store_path=_store_path(args),
+    )
     if args.descend:
-        forwarded.append("--descend")
-    if args.scales:
-        forwarded += ["--scales", *[str(s) for s in args.scales]]
-    if args.scale is not None:
-        forwarded += ["--scale", str(args.scale)]
-    if args.repeats:
-        forwarded += ["--repeats", str(args.repeats)]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.budget is not None:
-        forwarded += ["--budget", str(args.budget)]
-    store = _store_path(args)
-    if store:
-        forwarded += ["--store", store]
-    if args.output:
-        forwarded += ["--output", args.output]
-    if args.json:
-        forwarded.append("--json")
-    return enginebench.main(forwarded)
+        sizes = args.sizes or None
+        if args.scales:
+            scales = args.scales
+        elif args.scale is not None:
+            scales = [args.scale]
+        elif args.quick:
+            # CI smoke subset: the QUICK_DESCEND_ROWS footprint.
+            scales = list(enginebench.QUICK_DESCEND_SCALES)
+            sizes = sizes or list(enginebench.QUICK_SIZES)
+        else:
+            scales = None
+        return run_and_report(
+            lambda: enginebench.run_descend_engine_bench(
+                benchmarks=args.benchmarks or enginebench.DESCEND_BENCHMARKS,
+                sizes=sizes, scales=scales, budget_s=args.budget, **sweep,
+            ),
+            args.output or "BENCH_descend_engine.json", args.json, quick=args.quick,
+        )
+    sizes = args.sizes or list(enginebench.QUICK_SIZES if args.quick else enginebench.DEFAULT_SIZES)
+    return run_and_report(
+        lambda: enginebench.run_engine_bench(
+            benchmarks=args.benchmarks or BENCHMARKS, sizes=sizes, scale=args.scale, **sweep,
+        ),
+        args.output or "BENCH_engine.json", args.json, quick=args.quick,
+    )
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    path = _store_path(args)
-    if not args.http_backend:
-        return _run_fuzz_command(args, path)
-
-    # --http-backend: persist the campaign's artifacts through the HTTP
-    # store protocol instead of the local-dir backend — an in-process
-    # daemon serves the --store directory on an ephemeral port and the
-    # fuzzer attaches to its URL (same store, remote wire path).
-    from repro.descend.store import is_store_url
-
-    if not path:
-        print(
-            "error: --http-backend needs a store; pass --store PATH or set REPRO_STORE",
-            file=sys.stderr,
-        )
-        return 2
-    if is_store_url(path):
-        print(
-            "error: --http-backend serves a local store directory over HTTP; "
-            "--store is already a URL",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.descend.serve import ServeConfig, ServerThread
-
-    socket_path = os.path.join(
-        tempfile.mkdtemp(prefix="descendc-fuzz-http-"), "serve.sock"
-    )
-    config = ServeConfig(socket_path, store_path=path, store_http_port=0)
-    try:
-        thread = ServerThread(LocalBackend(label="fuzz-http"), config).start()
-    except (OSError, RuntimeError) as exc:
-        print(f"error: cannot serve store {path!r} over HTTP: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _run_fuzz_command(args, thread.store_url)
-    finally:
-        thread.stop()
-
-
-def _run_fuzz_command(args: argparse.Namespace, path: Optional[str]) -> int:
     from repro.fuzz import run_fuzz, run_replay
 
+    path = _store_path(args)
     store = None
     if path:
         try:
@@ -799,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink", action="store_true", dest="no_shrink",
         help="persist failing cases unminimized (faster on pervasive failures)",
     )
-    fuzz.add_argument(
-        "--http-backend", action="store_true", dest="http_backend",
-        help="persist the campaign's repro artifacts through the HTTP store "
-        "protocol (an in-process daemon serves --store on an ephemeral port)",
-    )
     fuzz.add_argument("--json", action="store_true", help="print the full report")
     fuzz.set_defaults(func=cmd_fuzz)
 
@@ -812,7 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig8.add_argument("--benchmarks", nargs="*")
     fig8.add_argument("--sizes", nargs="*")
-    fig8.add_argument("--engine", choices=("reference", "vectorized", "jit"))
+    fig8.add_argument(
+        "--engine", default="reference", choices=("reference", "vectorized", "jit"),
+        help="execution engine for both variants (cycle counts are identical; "
+        "jit applies to the Descend side, the CUDA-lite side runs vectorized)",
+    )
     fig8.add_argument(
         "--scale", type=int, default=None,
         help="workload scale factor (overrides REPRO_SCALE without touching the environment)",

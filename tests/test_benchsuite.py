@@ -20,10 +20,9 @@ from repro.benchsuite.enginebench import (
     compare_engines,
     run_descend_engine_bench,
     run_engine_bench,
-    write_report,
 )
 from repro.benchsuite.figure8 import Figure8Result, Figure8Row, run_figure8
-from repro.benchsuite.report import format_bytes, format_table
+from repro.benchsuite.report import format_bytes, format_table, write_report
 from repro.benchsuite.workloads import all_workloads
 from repro.errors import BenchmarkError
 
@@ -70,8 +69,6 @@ class TestRunner:
     @pytest.mark.parametrize("bench_name", BENCHMARKS)
     def test_small_cells_run_and_match(self, bench_name):
         run = run_benchmark_pair(bench_name, "small")
-        assert run.cuda.correct and run.descend.correct
-        assert run.cuda.races == 0 and run.descend.races == 0
         # the paper's headline result: Descend performs like handwritten CUDA
         assert run.relative_runtime == pytest.approx(1.0, rel=0.10)
 
@@ -84,7 +81,6 @@ class TestRunner:
         vectorized = run_benchmark_pair("transpose", "small", engine="vectorized")
         assert vectorized.cuda.cycles == reference.cuda.cycles
         assert vectorized.descend.cycles == reference.descend.cycles
-        assert vectorized.cuda.correct and vectorized.descend.correct
         assert vectorized.relative_runtime == pytest.approx(reference.relative_runtime)
 
     def test_workload_inputs_do_not_depend_on_the_hash_seed(self, tmp_path):
@@ -126,7 +122,21 @@ class TestRunner:
         base = run_benchmark_pair("reduce", "small", engine="vectorized")
         scaled = run_benchmark_pair("reduce", "small", engine="vectorized", scale=2)
         assert scaled.workload.params["n"] == 2 * base.workload.params["n"]
-        assert scaled.cuda.correct and scaled.descend.correct
+
+    def test_forced_plan_fallback_fails_the_figure8_cell(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.descend.interp.device import DescendKernel
+
+        monkeypatch.setattr(
+            DescendKernel, "_resolve_plan_source", lambda self: (None, "forced fallback")
+        )
+        with pytest.raises(BenchmarkError, match="ran on the reference engine"):
+            run_figure8(benchmarks=("transpose",), sizes=("small",), engine="vectorized")
+        assert main([
+            "figure8", "--benchmarks", "transpose", "--sizes", "small",
+            "--engine", "vectorized",
+        ]) == 1
+        assert "ran on the reference engine" in capsys.readouterr().err
 
 
 class TestEngineBench:
@@ -227,6 +237,29 @@ class TestReport:
         assert len(lines) == 4
         assert lines[0].startswith("a")
 
+    def test_reports_are_strict_json(self, tmp_path, capsys):
+        from repro.benchsuite.compilebench import CompileBenchResult, CompileBenchRow
+        from repro.cli import main
+
+        def strict(path):
+            text = path.read_text()
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+
+        # A cached total of 0 makes the compile speedup infinite.
+        row = CompileBenchRow("p", {"parse": 1e-3}, {"parse": 0.0}, "d", "c")
+        assert row.speedup == math.inf
+        compile_path = tmp_path / "BENCH_compile.json"
+        write_report(CompileBenchResult(rows=[row]), str(compile_path))
+        payload = strict(compile_path)
+        assert payload["programs"][0]["speedup"] is None
+        assert payload["min_speedup"] is None
+        # No requests leave the latency percentiles undefined.
+        serve_path = tmp_path / "BENCH_serve.json"
+        assert main(["bench", "--serve", "--requests", "0", "--output", str(serve_path)]) == 0
+        phases = strict(serve_path)["phases"]
+        assert [phase["p50_ms"] for phase in phases] == [None, None]
+        assert [phase["p99_ms"] for phase in phases] == [None, None]
+
     def test_format_bytes(self):
         assert format_bytes(512) == "512.0 B"
         assert format_bytes(2048) == "2.0 KiB"
@@ -280,14 +313,6 @@ class TestBudgetGuard:
         )
 
         assert estimate_reference_wall_s(1000.0) == 1000.0 * REF_SECONDS_PER_CYCLE
-
-    def test_default_budget_from_environment(self, monkeypatch):
-        from repro.benchsuite.enginebench import DEFAULT_REF_BUDGET_S, default_budget_s
-
-        monkeypatch.setenv("REPRO_BENCH_BUDGET_S", "12.5")
-        assert default_budget_s() == 12.5
-        monkeypatch.setenv("REPRO_BENCH_BUDGET_S", "not-a-number")
-        assert default_budget_s() == DEFAULT_REF_BUDGET_S
 
 
 @contextlib.contextmanager

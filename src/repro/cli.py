@@ -463,8 +463,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             scales = [args.scale]
         elif args.quick:
             # CI smoke subset: the QUICK_DESCEND_ROWS footprint.
-            scales = list(enginebench.QUICK_DESCEND_SCALES)
-            sizes = sizes or list(enginebench.QUICK_SIZES)
+            scales = enginebench.QUICK_DESCEND_SCALES
+            sizes = sizes or enginebench.QUICK_SIZES
         else:
             scales = None
         return run_and_report(
@@ -474,7 +474,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
             args.output or "BENCH_descend_engine.json", args.json, quick=args.quick,
         )
-    sizes = args.sizes or list(enginebench.QUICK_SIZES if args.quick else enginebench.DEFAULT_SIZES)
+    sizes = args.sizes or (enginebench.QUICK_SIZES if args.quick else enginebench.DEFAULT_SIZES)
     return run_and_report(
         lambda: enginebench.run_engine_bench(
             benchmarks=args.benchmarks or BENCHMARKS, sizes=sizes, scale=args.scale, **sweep,
@@ -843,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scales", nargs="*", type=int,
-        help="workload scales for --descend (default rows: small x 1/4/8 + medium x 8)",
+        help="workload scales for --descend (default rows: small x 1/4/8/16, "
+        "medium and large x 8)",
     )
     bench.add_argument("--scale", type=int, default=None, help="workload scale (CUDA-lite variant)")
     bench.add_argument("--repeats", type=int)

@@ -123,6 +123,24 @@ class TestRunner:
         scaled = run_benchmark_pair("reduce", "small", engine="vectorized", scale=2)
         assert scaled.workload.params["n"] == 2 * base.workload.params["n"]
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda out: (out[0], out[1] + 1.0, out[2], out[3]), "produced a wrong result"),
+            (lambda out: (out[0], out[1], 2, out[3]), "reported 2 data races"),
+        ],
+        ids=["wrong-result", "race"],
+    )
+    def test_faulty_run_fails_the_figure8_cell(self, monkeypatch, fault, message):
+        from repro.benchsuite import runner
+
+        real = runner._DESCEND_RUNNERS["transpose"]
+        monkeypatch.setitem(
+            runner._DESCEND_RUNNERS, "transpose", lambda *args: fault(real(*args))
+        )
+        with pytest.raises(BenchmarkError, match=message):
+            run_benchmark_pair("transpose", "small", engine="vectorized")
+
     def test_forced_plan_fallback_fails_the_figure8_cell(self, monkeypatch, capsys):
         from repro.cli import main
         from repro.descend.interp.device import DescendKernel

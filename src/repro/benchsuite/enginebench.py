@@ -103,8 +103,7 @@ class EngineBenchRow:
     scale: int = 1
     skipped: Optional[str] = None
     retries: int = 0
-    #: The jit engine only runs for the Descend variant (the CUDA-lite
-    #: kernels have no device plan to compile); ``None`` elsewhere.
+    #: Measured for the Descend variant only; ``None`` elsewhere.
     jit_cycles: Optional[float] = None
     jit_wall_s: Optional[float] = None
     #: Which process measured this row — ``hostname:pid``, stamped by

@@ -418,20 +418,17 @@ def run_benchmark_pair(
 ) -> BenchmarkRun:
     """Run one Figure 8 cell: the CUDA-lite and Descend variants of one workload.
 
-    ``engine`` selects the execution engine for *both* sides: the CUDA-lite
-    kernels are dispatched to their registered vectorized implementations and
-    the Descend programs run through the device-plan compiler
-    (:mod:`repro.descend.plan`).  Because both engines produce
+    ``engine`` selects the execution engine for *both* sides.  On the
+    lockstep engines (``"vectorized"`` and ``"jit"``, one runner under two
+    names) the CUDA-lite kernels run as written or as their masked ports,
+    and the Descend programs run the generated source of the device-plan
+    compiler (:mod:`repro.descend.plan`).  Because every engine produces
     identical cycle counts, the Figure 8 ratios are engine-independent —
-    ``"vectorized"`` just regenerates them much faster.  With ``"jit"`` the
-    Descend side executes the generated straight-line source of the
-    ``lower.plan.codegen`` pass; the CUDA-lite side has no device plan to
-    compile and runs vectorized (cycle-identical).  ``scale`` enlarges
-    the workload footprint without touching ``REPRO_SCALE``.
+    the lockstep engines just regenerate them much faster.  ``scale``
+    enlarges the workload footprint without touching ``REPRO_SCALE``.
     """
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)
-    cuda_engine = "vectorized" if engine == "jit" else engine
-    cuda = run_variant("cudalite", workload_, data, reference, cuda_engine, repeats)
+    cuda = run_variant("cudalite", workload_, data, reference, engine, repeats)
     descend = run_variant("descend", workload_, data, reference, engine, repeats)
     return BenchmarkRun(workload=workload_, cuda=cuda, descend=descend)

@@ -802,8 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig8.add_argument("--sizes", nargs="*")
     fig8.add_argument(
         "--engine", default="reference", choices=("reference", "vectorized", "jit"),
-        help="execution engine for both variants (cycle counts are identical; "
-        "jit applies to the Descend side, the CUDA-lite side runs vectorized)",
+        help="execution engine for both variants (cycle counts are identical)",
     )
     fig8.add_argument(
         "--scale", type=int, default=None,

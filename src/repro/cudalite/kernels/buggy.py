@@ -10,7 +10,6 @@ checker rejects statically (the equivalent unsafe view cannot be expressed).
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -41,51 +40,6 @@ def buggy_transpose_kernel(
         j += rows
 
     yield  # __syncthreads()
-
-    out_col = ctx.blockIdx.y * tile + tx
-    out_row = ctx.blockIdx.x * tile + ty
-    j = 0
-    while j < tile:
-        ctx.store(
-            output_buf,
-            (out_row + j) * matrix_size + out_col,
-            ctx.load(tmp, tx * tile + ty + j),
-        )
-        j += rows
-
-
-@vectorized_impl(buggy_transpose_kernel)
-def buggy_transpose_kernel_vec(
-    ctx,
-    input_buf: DeviceBuffer,
-    output_buf: DeviceBuffer,
-    matrix_size: int,
-    tile: int = 16,
-):
-    """The same Listing 1 bug, as one racy scatter per copy round.
-
-    Several lanes of the same scatter hit the same shared-memory offset; the
-    batched race detector must flag it exactly like the reference engine does.
-    """
-    rows = ctx.blockDim.y
-    tx = ctx.threadIdx.x
-    ty = ctx.threadIdx.y
-
-    tmp = ctx.shared("tile", (tile * tile,), dtype=input_buf.dtype)
-
-    col = ctx.blockIdx.x * tile + tx
-    row = ctx.blockIdx.y * tile + ty
-    j = 0
-    while j < tile:
-        # BUG (faithful to Listing 1): `ty + j*tile + tx` instead of `(ty + j)*tile + tx`.
-        ctx.store(
-            tmp,
-            (ty + j * tile + tx) % (tile * tile),
-            ctx.load(input_buf, (row + j) * matrix_size + col),
-        )
-        j += rows
-
-    ctx.sync()
 
     out_col = ctx.blockIdx.y * tile + tx
     out_row = ctx.blockIdx.x * tile + ty

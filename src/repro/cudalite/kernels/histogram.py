@@ -12,7 +12,6 @@ histogram.
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -29,41 +28,12 @@ def histogram_partials_kernel(
         ctx.arith(1)
         count = count + (key == my_bin) * 1.0
     ctx.store(partials, ctx.blockIdx.x * bins + my_bin, count)
-    return
-    yield  # pragma: no cover - makes this a generator for uniform handling
-
-
-@vectorized_impl(histogram_partials_kernel)
-def histogram_partials_kernel_vec(ctx, keys: DeviceBuffer, partials: DeviceBuffer, chunk: int):
-    my_bin = ctx.threadIdx.x
-    bins = ctx.blockDim.x
-    base = ctx.blockIdx.x * chunk
-    count = 0.0
-    for j in range(chunk):
-        key = ctx.load(keys, base + j)
-        ctx.arith(1)
-        count = count + (key == my_bin) * 1.0
-    ctx.store(partials, ctx.blockIdx.x * bins + my_bin, count)
 
 
 def combine_bins_kernel(
     ctx: ThreadCtx, partials: DeviceBuffer, bins_out: DeviceBuffer, num_blocks: int
 ):
     """``bins_out[t] = sum_i partials[i * bins + t]`` (one block of bins threads)."""
-    my_bin = ctx.threadIdx.x
-    bins = ctx.blockDim.x
-    acc = 0.0
-    for i in range(num_blocks):
-        value = ctx.load(partials, i * bins + my_bin)
-        ctx.arith(1)
-        acc = acc + value
-    ctx.store(bins_out, my_bin, acc)
-    return
-    yield  # pragma: no cover
-
-
-@vectorized_impl(combine_bins_kernel)
-def combine_bins_kernel_vec(ctx, partials: DeviceBuffer, bins_out: DeviceBuffer, num_blocks: int):
     my_bin = ctx.threadIdx.x
     bins = ctx.blockDim.x
     acc = 0.0

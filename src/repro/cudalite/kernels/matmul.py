@@ -9,7 +9,6 @@ accumulating the per-thread dot product in a register.
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -45,42 +44,5 @@ def matmul_kernel(
             ctx.arith(2)
             acc = acc + a_val * b_val
         yield  # __syncthreads()
-
-    ctx.store(c_buf, row * size_n + col, acc)
-
-
-@vectorized_impl(matmul_kernel)
-def matmul_kernel_vec(
-    ctx,
-    a_buf: DeviceBuffer,
-    b_buf: DeviceBuffer,
-    c_buf: DeviceBuffer,
-    size_m: int,
-    size_k: int,
-    size_n: int,
-    tile: int = 8,
-):
-    """Vectorized tiled matmul: the K phases stay a host loop, threads don't."""
-    tx = ctx.threadIdx.x
-    ty = ctx.threadIdx.y
-    row = ctx.blockIdx.y * tile + ty
-    col = ctx.blockIdx.x * tile + tx
-
-    a_tile = ctx.shared("a_tile", (tile * tile,), dtype=a_buf.dtype)
-    b_tile = ctx.shared("b_tile", (tile * tile,), dtype=b_buf.dtype)
-
-    acc = ctx.zeros(dtype=a_buf.dtype)
-    phases = size_k // tile
-    for phase in range(phases):
-        ctx.store(a_tile, ty * tile + tx, ctx.load(a_buf, row * size_k + phase * tile + tx))
-        ctx.store(b_tile, ty * tile + tx, ctx.load(b_buf, (phase * tile + ty) * size_n + col))
-        ctx.sync()
-
-        for k in range(tile):
-            a_val = ctx.load(a_tile, ty * tile + k)
-            b_val = ctx.load(b_tile, k * tile + tx)
-            ctx.arith(2)
-            acc = acc + a_val * b_val
-        ctx.sync()
 
     ctx.store(c_buf, row * size_n + col, acc)

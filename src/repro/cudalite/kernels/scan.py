@@ -81,8 +81,6 @@ def add_offsets_kernel(
         value = ctx.load(output_buf, base + j)
         ctx.arith(1)
         ctx.store(output_buf, base + j, value + offset)
-    return
-    yield  # pragma: no cover
 
 
 @vectorized_impl(scan_block_kernel)
@@ -120,23 +118,6 @@ def scan_block_kernel_vec(
     ctx.sync()
 
     offset = ctx.load(sums, tid)
-    for j in range(elems_per_thread):
-        value = ctx.load(output_buf, base + j)
-        ctx.arith(1)
-        ctx.store(output_buf, base + j, value + offset)
-
-
-@vectorized_impl(add_offsets_kernel)
-def add_offsets_kernel_vec(
-    ctx,
-    output_buf: DeviceBuffer,
-    block_offsets: DeviceBuffer,
-    elems_per_thread: int,
-):
-    tid = ctx.threadIdx.x
-    block_size = ctx.blockDim.x
-    base = (ctx.blockIdx.x * block_size + tid) * elems_per_thread
-    offset = ctx.load(block_offsets, ctx.blockIdx.x)
     for j in range(elems_per_thread):
         value = ctx.load(output_buf, base + j)
         ctx.arith(1)

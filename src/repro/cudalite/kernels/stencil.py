@@ -11,24 +11,11 @@ from __future__ import annotations
 
 from repro.cudalite.kernels.vector import global_tid
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
 def stencil3_kernel(ctx: ThreadCtx, input_buf: DeviceBuffer, output_buf: DeviceBuffer):
     """``out[i]`` = mean of the three padded cells ``inp[i .. i+2]``."""
-    index = global_tid(ctx)
-    left = ctx.load(input_buf, index)
-    center = ctx.load(input_buf, index + 1)
-    right = ctx.load(input_buf, index + 2)
-    ctx.arith(3)
-    ctx.store(output_buf, index, (left + center + right) * (1.0 / 3.0))
-    return
-    yield  # pragma: no cover - makes this a generator for uniform handling
-
-
-@vectorized_impl(stencil3_kernel)
-def stencil3_kernel_vec(ctx, input_buf: DeviceBuffer, output_buf: DeviceBuffer):
     index = global_tid(ctx)
     left = ctx.load(input_buf, index)
     center = ctx.load(input_buf, index + 1)

@@ -8,7 +8,6 @@ staging it in shared memory; each thread copies ``tile / rows`` elements.
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -65,68 +64,6 @@ def naive_transpose_kernel(
     and cannot be coalesced — the cost model charges one transaction per
     element for that side, which is why the tiled kernel wins.
     """
-    rows = ctx.blockDim.y
-    tx = ctx.threadIdx.x
-    ty = ctx.threadIdx.y
-    col = ctx.blockIdx.x * tile + tx
-    row = ctx.blockIdx.y * tile + ty
-    j = 0
-    while j < tile:
-        value = ctx.load(input_buf, (row + j) * matrix_size + col)
-        ctx.store(output_buf, col * matrix_size + (row + j), value)
-        j += rows
-    return
-    yield  # pragma: no cover
-
-
-@vectorized_impl(transpose_kernel)
-def transpose_kernel_vec(
-    ctx,
-    input_buf: DeviceBuffer,
-    output_buf: DeviceBuffer,
-    matrix_size: int,
-    tile: int = 16,
-):
-    """Vectorized tiled transpose; the ``tile / rows`` copy loop stays host-side."""
-    rows = ctx.blockDim.y
-    tx = ctx.threadIdx.x
-    ty = ctx.threadIdx.y
-
-    tmp = ctx.shared("tile", (tile * tile,), dtype=input_buf.dtype)
-
-    col = ctx.blockIdx.x * tile + tx
-    row = ctx.blockIdx.y * tile + ty
-    j = 0
-    while j < tile:
-        ctx.store(
-            tmp,
-            (ty + j) * tile + tx,
-            ctx.load(input_buf, (row + j) * matrix_size + col),
-        )
-        j += rows
-
-    ctx.sync()
-
-    out_col = ctx.blockIdx.y * tile + tx
-    out_row = ctx.blockIdx.x * tile + ty
-    j = 0
-    while j < tile:
-        ctx.store(
-            output_buf,
-            (out_row + j) * matrix_size + out_col,
-            ctx.load(tmp, tx * tile + ty + j),
-        )
-        j += rows
-
-
-@vectorized_impl(naive_transpose_kernel)
-def naive_transpose_kernel_vec(
-    ctx,
-    input_buf: DeviceBuffer,
-    output_buf: DeviceBuffer,
-    matrix_size: int,
-    tile: int = 16,
-):
     rows = ctx.blockDim.y
     tx = ctx.threadIdx.x
     ty = ctx.threadIdx.y

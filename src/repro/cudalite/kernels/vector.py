@@ -1,15 +1,14 @@
 """Element-wise vector kernels (the scale_vec example of Section 2.3).
 
-Each kernel exists twice: the per-thread reference form (a generator run by
-the ``"reference"`` engine) and the grid-wide vectorized form registered via
-:func:`vectorized_impl` (run by the ``"vectorized"`` engine).  Both perform
+Each kernel is written once, per thread.  The ``"reference"`` engine runs it
+thread by thread; the lockstep engines (``"vectorized"`` and ``"jit"``) run
+the same function once over per-thread index arrays.  Both perform
 identical memory accesses, so cycle counts agree exactly.
 """
 
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -17,7 +16,7 @@ def global_tid(ctx) -> int:
     """The CUDA ``blockIdx.x * blockDim.x + threadIdx.x`` global thread index.
 
     Works for both context flavours: scalar per-thread indices under the
-    reference engine, per-thread index *arrays* under the vectorized engine.
+    reference engine, per-thread index *arrays* under the lockstep engines.
     """
     return ctx.blockIdx.x * ctx.blockDim.x + ctx.threadIdx.x
 
@@ -28,16 +27,12 @@ def scale_vec_kernel(ctx: ThreadCtx, vec: DeviceBuffer, factor: float):
     value = ctx.load(vec, index)
     ctx.arith(1)
     ctx.store(vec, index, value * factor)
-    return
-    yield  # pragma: no cover - makes this a generator for uniform handling
 
 
 def init_kernel(ctx: ThreadCtx, vec: DeviceBuffer, value: float):
     """``vec[i] = value`` with one thread per element (Section 2.3 example)."""
     index = global_tid(ctx)
     ctx.store(vec, index, value)
-    return
-    yield  # pragma: no cover
 
 
 def vec_add_kernel(ctx: ThreadCtx, out: DeviceBuffer, lhs: DeviceBuffer, rhs: DeviceBuffer):
@@ -47,50 +42,10 @@ def vec_add_kernel(ctx: ThreadCtx, out: DeviceBuffer, lhs: DeviceBuffer, rhs: De
     b = ctx.load(rhs, index)
     ctx.arith(1)
     ctx.store(out, index, a + b)
-    return
-    yield  # pragma: no cover
 
 
 def saxpy_kernel(ctx: ThreadCtx, y: DeviceBuffer, x: DeviceBuffer, alpha: float):
     """``y[i] = alpha * x[i] + y[i]``."""
-    index = global_tid(ctx)
-    xv = ctx.load(x, index)
-    yv = ctx.load(y, index)
-    ctx.arith(2)
-    ctx.store(y, index, alpha * xv + yv)
-    return
-    yield  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Vectorized forms: same accesses, one numpy operation per kernel line.
-# ---------------------------------------------------------------------------
-
-
-@vectorized_impl(scale_vec_kernel)
-def scale_vec_kernel_vec(ctx, vec: DeviceBuffer, factor: float):
-    index = global_tid(ctx)
-    value = ctx.load(vec, index)
-    ctx.arith(1)
-    ctx.store(vec, index, value * factor)
-
-
-@vectorized_impl(init_kernel)
-def init_kernel_vec(ctx, vec: DeviceBuffer, value: float):
-    ctx.store(vec, global_tid(ctx), value)
-
-
-@vectorized_impl(vec_add_kernel)
-def vec_add_kernel_vec(ctx, out: DeviceBuffer, lhs: DeviceBuffer, rhs: DeviceBuffer):
-    index = global_tid(ctx)
-    a = ctx.load(lhs, index)
-    b = ctx.load(rhs, index)
-    ctx.arith(1)
-    ctx.store(out, index, a + b)
-
-
-@vectorized_impl(saxpy_kernel)
-def saxpy_kernel_vec(ctx, y: DeviceBuffer, x: DeviceBuffer, alpha: float):
     index = global_tid(ctx)
     xv = ctx.load(x, index)
     yv = ctx.load(y, index)

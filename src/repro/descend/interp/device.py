@@ -376,8 +376,9 @@ class DescendKernel:
     :class:`~repro.descend.plan.ir.DevicePlan` — the serializable plan IR of
     :mod:`repro.descend.plan` — and compiled to generated Python source
     (:class:`~repro.descend.plan.codegen.PlanSource`) that runs as batched
-    numpy operations.  Both modes run the same generated source into the
-    same accounting core, so they run identical code.  Functions the plan
+    numpy operations.  Each launch hands the source's entry closure to
+    :meth:`GpuDevice.launch`, and both modes run it through the same
+    lockstep runner into the same accounting core.  Functions the plan
     compiler cannot lower fall back to this per-thread reference interpreter
     automatically (:attr:`fallback_reason` records why).
 
@@ -469,15 +470,12 @@ class DescendKernel:
         mode = execution_mode if execution_mode is not None else device.execution_mode
         self.fallback_reason = None
         if mode in ("vectorized", "jit"):
-            from repro.gpusim.engine import jit_impl, vectorized_impl
-
             plan_src, reason = self._resolve_plan_source()
             if plan_src is None:
                 self.fallback_reason = reason
                 mode = "reference"
             else:
-                register = jit_impl if mode == "jit" else vectorized_impl
-                register(kernel)(plan_src.entry(nat_env, arg_values))
+                kernel = plan_src.entry(nat_env, arg_values)
 
         return device.launch(
             kernel,

@@ -14,13 +14,15 @@ simulator with
   (:mod:`repro.gpusim.device`),
 * three interchangeable execution engines (:mod:`repro.gpusim.engine`):
   ``"reference"`` (per thread), ``"vectorized"`` (lockstep) and ``"jit"``
-  (generated plan source), which record into one accounting core and give
-  identical cycle counts; the last two are an order of magnitude faster.
+  (the same lockstep runner), which record into one accounting core and
+  give identical cycle counts; the last two are an order of magnitude
+  faster.
 
-Kernels are Python *generator functions* ``kernel(ctx, *args)``; ``yield``
-acts as ``__syncthreads()``.  Both the handwritten CUDA-lite baselines and
-the Descend interpreter execute on this substrate, so the relative runtimes
-reported in the benchmark harness compare like with like.
+Kernels are Python functions ``kernel(ctx, *args)``; a kernel with
+barriers is a generator whose ``yield`` acts as ``__syncthreads()``.  Both
+the handwritten CUDA-lite baselines and the Descend interpreter execute on
+this substrate, so the relative runtimes reported in the benchmark harness
+compare like with like.
 """
 
 from repro.gpusim.buffer import DeviceBuffer, HostBuffer

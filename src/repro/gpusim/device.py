@@ -72,13 +72,12 @@ class GpuDevice:
     """A simulated GPU device.
 
     ``execution_mode`` selects the default engine for kernel launches:
-    ``"reference"`` (per-thread generator interpreter, the semantic baseline),
-    ``"vectorized"`` (lockstep numpy execution, identical cycle counts,
-    an order of magnitude faster — requires kernels registered with
-    :func:`repro.gpusim.engine.vectorized_impl`) or ``"jit"`` (the
-    generated plan source of a Descend kernel over the same lockstep
-    context — requires kernels registered with
-    :func:`repro.gpusim.engine.jit_impl`).  Individual launches can
+    ``"reference"`` (per-thread generator interpreter, the semantic baseline)
+    or ``"vectorized"`` (lockstep numpy execution, identical cycle counts,
+    an order of magnitude faster).  ``"jit"`` is a second name for the same
+    lockstep runner.  A lockstep launch runs the kernel as written, or the
+    port registered with :func:`repro.gpusim.engine.vectorized_impl` for a
+    kernel whose threads branch on their own index.  Individual launches can
     override it via ``launch(..., execution_mode=...)``.
     """
 

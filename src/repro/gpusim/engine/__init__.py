@@ -12,12 +12,13 @@ engines:
   over numpy index arrays, memory accesses are bulk gathers/scatters, and the
   cost model and race detector receive batched access records.  It produces
   *identical* cycle counts and race verdicts at a fraction of the wall-clock
-  time, but requires a vectorized kernel implementation (registered with
-  :func:`vectorized_impl`).
-* ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — runs plan-JIT kernels
-  (straight-line Python emitted by the ``lower.plan.codegen`` pass,
-  registered with :func:`jit_impl`) over the same grid-wide ``VecCtx``.  For
-  Descend programs it runs the same code as ``vectorized``.
+  time.  Its runner, :func:`~repro.gpusim.engine.vectorized.run_lockstep`,
+  runs a per-thread kernel as written, with one ``ctx.sync()`` per
+  ``yield``.  A kernel whose threads branch on their own index registers a
+  masked port with :func:`vectorized_impl` instead.
+* ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — a second name for the same
+  lockstep runner.  A Descend kernel runs on both as its generated plan
+  source (straight-line Python emitted by the ``lower.plan.codegen`` pass).
 
 All engines share one accounting core: ``GpuDevice.launch`` builds a
 :class:`JitCostModel` and a :class:`~repro.gpusim.races.RaceDetector` for
@@ -33,8 +34,6 @@ from repro.gpusim.engine.base import (
     EngineStats,
     ExecutionEngine,
     get_engine,
-    jit_impl,
-    resolve_jit,
     resolve_reference,
     resolve_vectorized,
     vectorized_impl,
@@ -55,8 +54,6 @@ __all__ = [
     "VecSharedBuffer",
     "VectorizedEngine",
     "get_engine",
-    "jit_impl",
-    "resolve_jit",
     "resolve_reference",
     "resolve_vectorized",
     "vectorized_impl",

@@ -16,8 +16,6 @@ Dim3 = Tuple[int, int, int]
 _VECTORIZED_ATTR = "__vectorized_impl__"
 #: Attribute linking a vectorized kernel back to its reference implementation.
 _REFERENCE_ATTR = "__reference_impl__"
-#: Attribute linking a reference kernel to its jit-compiled implementation.
-_JIT_ATTR = "__jit_impl__"
 
 
 @dataclass
@@ -47,16 +45,20 @@ class ExecutionEngine(abc.ABC):
 
 
 def vectorized_impl(reference_kernel: Callable) -> Callable[[Callable], Callable]:
-    """Decorator registering a vectorized implementation for a kernel.
+    """Decorator registering a masked lockstep port of a per-thread kernel.
 
-    Usage::
+    The lockstep engines run a per-thread kernel as it is written, unless
+    its threads branch on their own index: numpy refuses ``if`` on an index
+    array, so such a kernel needs a port that selects lanes with ``where=``
+    masks instead.  Usage::
 
         def my_kernel(ctx, buf):          # reference, per-thread
-            ...
+            if ctx.threadIdx.x == 0:
+                ctx.store(buf, 0, 1.0)
 
         @vectorized_impl(my_kernel)
-        def my_kernel_vec(ctx, buf):      # vectorized, per-grid
-            ...
+        def my_kernel_vec(ctx, buf):      # lockstep, per-grid
+            ctx.store(buf, 0, 1.0, where=ctx.threadIdx.x == 0)
 
     After registration either function can be passed to
     :meth:`GpuDevice.launch`; each engine resolves the implementation it
@@ -80,28 +82,6 @@ def resolve_vectorized(kernel: Callable) -> Optional[Callable]:
 def resolve_reference(kernel: Callable) -> Callable:
     """The reference implementation for ``kernel`` (itself if unregistered)."""
     return getattr(kernel, _REFERENCE_ATTR, kernel)
-
-
-def jit_impl(reference_kernel: Callable) -> Callable[[Callable], Callable]:
-    """Decorator registering a jit-compiled implementation for a kernel.
-
-    Same registration shape as :func:`vectorized_impl`; the jit engine
-    resolves this attribute.  ``DescendKernel.launch`` registers the
-    plan-codegen entry here per launch.
-    """
-
-    def register(jit_kernel: Callable) -> Callable:
-        setattr(reference_kernel, _JIT_ATTR, jit_kernel)
-        setattr(jit_kernel, _JIT_ATTR, jit_kernel)
-        setattr(jit_kernel, _REFERENCE_ATTR, reference_kernel)
-        return jit_kernel
-
-    return register
-
-
-def resolve_jit(kernel: Callable) -> Optional[Callable]:
-    """The jit implementation registered for ``kernel`` (or ``None``)."""
-    return getattr(kernel, _JIT_ATTR, None)
 
 
 #: The execution modes a device or launch can select.

@@ -1,11 +1,11 @@
 """The jit execution engine and the streaming cost model every launch uses.
 
-This engine runs plan-JIT kernels (straight-line Python emitted by
-:mod:`repro.descend.plan.codegen`, registered with
-:func:`~repro.gpusim.engine.base.jit_impl`) over the same grid-wide
-:class:`~repro.gpusim.engine.vectorized.VecCtx` the vectorized engine uses.
-For Descend programs the ``vectorized`` engine runs the same generated code
-into the same accounting, so the two engines now run identical code.
+The ``jit`` engine is a second name for the lockstep runner
+(:func:`~repro.gpusim.engine.vectorized.run_lockstep`) that the
+``vectorized`` engine uses, so the two run every launch identically: a
+Descend kernel as its generated plan source (straight-line Python emitted by
+:mod:`repro.descend.plan.codegen`), a CUDA-lite kernel as written or as its
+``@vectorized_impl`` port.
 
 :class:`JitCostModel` is the cost model :meth:`GpuDevice.launch
 <repro.gpusim.device.GpuDevice.launch>` builds for every launch, whatever the
@@ -24,15 +24,13 @@ those of the plain ``CostModel``.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import LaunchConfigurationError
 from repro.gpusim.cost import CostModel, CostParameters, KernelCost
-from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine, resolve_jit
-from repro.gpusim.engine.vectorized import VecCtx
+from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine
+from repro.gpusim.engine.vectorized import run_lockstep
 from repro.gpusim.races import RaceDetector
 
 
@@ -126,7 +124,7 @@ class JitCostModel(CostModel):
 
 
 class JitEngine(ExecutionEngine):
-    """Runs codegen'd plan kernels over a grid-wide :class:`VecCtx`."""
+    """Runs a launch through the same lockstep runner as ``vectorized``."""
 
     name = "jit"
 
@@ -140,17 +138,4 @@ class JitEngine(ExecutionEngine):
         races: Optional[RaceDetector],
         warp_size: int = 32,
     ) -> EngineStats:
-        impl = resolve_jit(kernel)
-        if impl is None:
-            name = getattr(kernel, "__name__", repr(kernel))
-            raise LaunchConfigurationError(
-                f"kernel `{name}` has no jit implementation; register one "
-                "with @jit_impl or launch with execution_mode='reference'"
-            )
-        ctx = VecCtx(grid_dim, block_dim, cost=cost, races=races, warp_size=warp_size)
-        result = impl(ctx, *tuple(args))
-        if inspect.isgenerator(result):
-            raise LaunchConfigurationError(
-                "jit kernels must be plain functions that call ctx.sync(), not generators"
-            )
-        return EngineStats(barriers=ctx.barriers)
+        return run_lockstep(kernel, args, grid_dim, block_dim, cost, races, warp_size)

@@ -21,9 +21,16 @@ Parity with the reference engine is exact, not approximate:
   race detector sees block-disjoint offsets (so cross-block false positives
   are impossible, mirroring the per-block buffers of the reference engine).
 
-Vectorized kernels are plain functions (no generators); they call
-``ctx.sync()`` where CUDA would call ``__syncthreads()`` and pass boolean
-``where=`` masks where the reference kernel would branch on the thread index.
+:func:`run_lockstep` is the one runner of this engine and of the ``jit``
+engine.  It calls the kernel once with a grid-wide :class:`VecCtx`, so a
+per-thread CUDA-lite kernel runs as written.  A kernel with barriers is a
+generator with a ``yield`` where CUDA calls ``__syncthreads()``, and each
+``yield`` becomes one ``ctx.sync()``.  Plan kernels generated from Descend
+programs call ``ctx.sync()`` themselves.  A kernel whose threads branch on
+their own index cannot run in lockstep: numpy refuses ``if`` on an index
+array, so its launch raises rather than return a result.  Such a kernel
+registers a port (:func:`~repro.gpusim.engine.base.vectorized_impl`) that
+passes boolean ``where=`` masks instead, and the runner prefers it.
 By construction every block reaches every ``sync()`` — barrier divergence
 cannot be expressed, which is why the reference engine remains the semantic
 baseline for arbitrary kernels.
@@ -38,7 +45,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import DeviceMemoryError, LaunchConfigurationError
+from repro.errors import DeviceMemoryError
 from repro.gpusim.buffer import DeviceBuffer, next_buffer_id
 from repro.gpusim.cost import CostModel
 from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine, resolve_vectorized
@@ -324,6 +331,30 @@ class VecCtx:
         return VecLocalBuffer(self.num_threads, shape, dtype=dtype, label=label)
 
 
+def run_lockstep(
+    kernel: Callable,
+    args: Sequence[object],
+    grid_dim: Dim3,
+    block_dim: Dim3,
+    cost: Optional[CostModel],
+    races: Optional[RaceDetector],
+    warp_size: int = 32,
+) -> EngineStats:
+    """Run every thread of a launch in lockstep over one :class:`VecCtx`.
+
+    Runs the kernel's ``@vectorized_impl`` port if one is registered, else
+    the kernel itself, and drives a generator kernel with one ``ctx.sync()``
+    per ``yield``.
+    """
+    impl = resolve_vectorized(kernel) or kernel
+    ctx = VecCtx(grid_dim, block_dim, cost=cost, races=races, warp_size=warp_size)
+    result = impl(ctx, *args)
+    if inspect.isgenerator(result):
+        for _ in result:
+            ctx.sync()
+    return EngineStats(barriers=ctx.barriers)
+
+
 class VectorizedEngine(ExecutionEngine):
     """Runs the whole grid in lockstep over numpy index arrays."""
 
@@ -339,18 +370,4 @@ class VectorizedEngine(ExecutionEngine):
         races: Optional[RaceDetector],
         warp_size: int = 32,
     ) -> EngineStats:
-        impl = resolve_vectorized(kernel)
-        if impl is None:
-            name = getattr(kernel, "__name__", repr(kernel))
-            raise LaunchConfigurationError(
-                f"kernel `{name}` has no vectorized implementation; register one "
-                "with @vectorized_impl or launch with execution_mode='reference'"
-            )
-        ctx = VecCtx(grid_dim, block_dim, cost=cost, races=races, warp_size=warp_size)
-        result = impl(ctx, *tuple(args))
-        if inspect.isgenerator(result):
-            raise LaunchConfigurationError(
-                "vectorized kernels must be plain functions that call ctx.sync(), "
-                "not generators"
-            )
-        return EngineStats(barriers=ctx.barriers)
+        return run_lockstep(kernel, args, grid_dim, block_dim, cost, races, warp_size)

@@ -1,8 +1,8 @@
 """Tests for the warp-vectorized execution engine and its batched recording.
 
-The core property is *parity*: for every ported kernel the vectorized engine
-must produce bit-identical results, exactly equal cycle counts, and the same
-race verdicts as the per-thread reference interpreter.
+The core property is *parity*: for every kernel the lockstep engines must
+produce bit-identical results, exactly equal cycle counts, and the same race
+verdicts as the per-thread reference interpreter.
 """
 
 import numpy as np
@@ -18,32 +18,28 @@ from repro.gpusim.races import RecordedAccess
 
 
 def run_both(run, data):
-    """Run a scenario on both engines; returns {mode: (result, launches)}.
+    """Run a scenario on every engine; returns {mode: (result, launches)}.
 
-    The jit mode is excluded: it executes generated plan source, which only
-    Descend programs have — these handwritten kernels are reference
-    generators with registered vectorized ports (tests/test_plan.py holds
-    the three-way differential for Descend programs).
+    The jit engine runs the vectorized engine's lockstep runner under a
+    second name, so it must agree with vectorized exactly.
     """
-    out = {}
-    for mode in ("reference", "vectorized"):
-        assert mode in EXECUTION_MODES
-        device = GpuDevice(execution_mode=mode)
-        out[mode] = run(device, data)
-    return out
+    return {mode: run(GpuDevice(execution_mode=mode), data) for mode in EXECUTION_MODES}
 
 
 def assert_parity(out, *, racy=False):
     ref_result, ref_launches = out["reference"]
     vec_result, vec_launches = out["vectorized"]
+    jit_result, jit_launches = out["jit"]
     if not racy:
         assert np.array_equal(ref_result, vec_result)
-    assert len(ref_launches) == len(vec_launches)
-    for ref, vec in zip(ref_launches, vec_launches):
+    assert np.array_equal(jit_result, vec_result)
+    assert len(ref_launches) == len(vec_launches) == len(jit_launches)
+    for ref, vec, jit in zip(ref_launches, vec_launches, jit_launches):
         assert ref.cycles == vec.cycles, (ref.cost.summary(), vec.cost.summary())
-        assert ref.cost.summary() == vec.cost.summary()
-        assert ref.barriers == vec.barriers
+        assert ref.cost.summary() == vec.cost.summary() == jit.cost.summary()
+        assert ref.barriers == vec.barriers == jit.barriers
         assert bool(ref.races) == bool(vec.races)
+        assert len(jit.races) == len(vec.races)
     return ref_launches, vec_launches
 
 
@@ -554,14 +550,17 @@ class TestEngineSelection:
         with pytest.raises(LaunchConfigurationError):
             get_engine("simd")
 
-    def test_unported_kernel_rejected_in_vectorized_mode(self, device_vectorized):
-        def lonely_kernel(ctx, out):
-            return
-            yield
+    def test_unported_branching_kernel_raises(self, device_vectorized):
+        """Threads that branch on their own index cannot run in lockstep."""
+
+        def branching_kernel(ctx, out):
+            if ctx.threadIdx.x == 0:
+                ctx.store(out, 0, 1.0)
 
         buf = device_vectorized.malloc((4,))
-        with pytest.raises(LaunchConfigurationError, match="no vectorized implementation"):
-            device_vectorized.launch(lonely_kernel, grid_dim=(1,), block_dim=(4,), args=(buf,))
+        with pytest.raises(ValueError, match="truth value"):
+            device_vectorized.launch(branching_kernel, grid_dim=(1,), block_dim=(4,), args=(buf,))
+        assert not device_vectorized.launch_log
 
     def test_per_launch_override(self, device):
         data = np.arange(64, dtype=np.float64)
@@ -575,17 +574,22 @@ class TestEngineSelection:
         assert device.launch_log[-1].execution_mode == "vectorized"
 
     def test_resolution_is_symmetric(self):
-        vec = resolve_vectorized(vector.scale_vec_kernel)
-        assert vec is vector.scale_vec_kernel_vec
-        assert resolve_reference(vec) is vector.scale_vec_kernel
+        vec = resolve_vectorized(reduce.block_reduce_kernel)
+        assert vec is reduce.block_reduce_kernel_vec
+        assert resolve_reference(vec) is reduce.block_reduce_kernel
         assert resolve_vectorized(vec) is vec
+        assert resolve_vectorized(vector.scale_vec_kernel) is None
 
     def test_vectorized_kernel_runs_under_reference_engine(self, device, rng):
-        """Passing the vectorized function still works in reference mode."""
-        data = rng.random(64)
+        """Passing the masked port still runs the per-thread kernel in reference mode."""
+        data = rng.random(256)
         buf = device.to_device(data)
-        device.launch(vector.scale_vec_kernel_vec, grid_dim=(2,), block_dim=(32,), args=(buf, 2.0))
-        assert np.allclose(device.to_host(buf), data * 2.0)
+        out = device.malloc((4,))
+        launch = device.launch(
+            reduce.block_reduce_kernel_vec, grid_dim=(4,), block_dim=(64,), args=(buf, out)
+        )
+        assert launch.execution_mode == "reference"
+        assert np.allclose(device.to_host(out), data.reshape(4, 64).sum(axis=1))
 
 
 class TestVecCtxSemantics:
@@ -619,18 +623,6 @@ class TestVecCtxSemantics:
         buf = device_vectorized.malloc((8,))
         with pytest.raises(DeviceMemoryError):
             device_vectorized.launch(ref, grid_dim=(1,), block_dim=(8,), args=(buf,))
-
-    def test_generator_vectorized_kernel_rejected(self, device_vectorized):
-        def ref(ctx):
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx):
-            yield
-
-        with pytest.raises(LaunchConfigurationError, match="plain functions"):
-            device_vectorized.launch(ref, grid_dim=(1,), block_dim=(4,))
 
     def test_shared_memory_is_per_block(self, device_vectorized):
         """Each block sees its own copy of a shared buffer."""

@@ -10,7 +10,7 @@ persistent artifact store:
   per program runs the full pipeline, every repeat is a memory-tier hit;
 * **warm** — a *new* daemon process-equivalent (fresh session, same store):
   every program is answered from the store tier; the phase fails with
-  :class:`~repro.errors.BenchmarkError` if any response reports a
+  :class:`~repro.errors.BenchmarkError` if the daemon's session ran a
   ``compute``-tier pass — the zero-compute acceptance criterion.
 
 Each phase drives the daemon over its real unix socket with concurrent
@@ -51,7 +51,9 @@ class ServePhaseRow:
     errors: int
     wall_s: float
     latencies_ms: List[float] = field(default_factory=list)
-    #: ``{pass: {tier: count}}`` summed over every response of the phase.
+    #: ``{pass: {tier: count}}`` the daemon's session recorded during the
+    #: phase.  A coalesced response repeats the tiers of the request it
+    #: joined, so summing responses would count those passes twice.
     pass_tiers: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -118,13 +120,6 @@ class ServeBenchResult:
         return table + "\n\nwarm phase answered every compile without a compute-tier pass"
 
 
-def _merge_tiers(into: Dict[str, Dict[str, int]], response: Response) -> None:
-    for pass_name, tiers in response.pass_tiers.items():
-        bucket = into.setdefault(pass_name, {})
-        for tier, count in tiers.items():
-            bucket[tier] = bucket.get(tier, 0) + count
-
-
 def _phase_sources() -> List[Tuple[str, str]]:
     return [(name, print_program(build())) for name, build in PROGRAMS.items()]
 
@@ -176,12 +171,12 @@ def run_phase(
                         f"client {worker_index}: {response.error_code}: "
                         f"{response.error_message}"
                     )
-                _merge_tiers(row.pass_tiers, response)
 
     with ServerThread(backend, config):
         with DescendClient(socket_path) as probe:
             if not probe.wait_until_ready():
                 raise BenchmarkError(f"{phase}: daemon did not become ready")
+        mark = backend.session.pass_counts_snapshot()
         started = time.perf_counter()
         threads = [
             threading.Thread(target=worker, args=(k,), name=f"serve-bench-{phase}-{k}")
@@ -192,6 +187,7 @@ def run_phase(
         for thread in threads:
             thread.join()
         row.wall_s = time.perf_counter() - started
+        row.pass_tiers = backend.session.pass_counts_since(mark)
     if failures:
         raise BenchmarkError(f"{phase}: {failures[0]} ({len(failures)} failures)")
     if len(row.latencies_ms) != requests:

@@ -284,6 +284,27 @@ class TestReport:
         assert "MiB" in format_bytes(8 * 1024 * 1024)
 
 
+class TestServeBench:
+    def test_phase_tiers_count_each_pass_once(self):
+        """Tiers come from the daemon's session, so a coalesced response
+        does not count the passes of the request it joined a second time."""
+        from repro.benchsuite.compilebench import PROGRAMS
+        from repro.benchsuite.servebench import run_serve_bench
+
+        result = run_serve_bench(requests=20, clients=4)
+        cold, warm = result.rows
+
+        def tier(row, name):
+            return {p: tiers[name] for p, tiers in row.pass_tiers.items() if name in tiers}
+
+        programs = len(PROGRAMS)
+        assert tier(cold, "compute") == {"parse": programs, "typeck": programs, "lower.cuda": programs}
+        assert tier(cold, "store") == {}
+        assert tier(warm, "compute") == {}
+        assert tier(warm, "store") == {"parse": programs, "lower.cuda": programs}
+        assert result.as_dict()["warm_compute_passes"] == 0
+
+
 class TestBudgetGuard:
     def test_budget_skips_reference_column(self, tmp_path):
         result = run_descend_engine_bench(

@@ -200,6 +200,33 @@ def _detach_failure(exc: DescendError) -> DescendError:
     return clone
 
 
+class _ProgramKey:
+    """Content key of a builder-API program: the frozen AST, hashed once.
+
+    Hashing a frozen AST walks all of it, and a memory-tier hit hashes its
+    key twice (pop and reinsert), so the hash is taken once, when the key
+    is made.  Two keys compare their ASTs only after their hashes match.
+    The hash lives here, not on the AST: :meth:`CompileSession.key_digest`
+    pickles the AST, and a salted hash on it would change store digests.
+    """
+
+    __slots__ = ("program", "_hash")
+
+    def __init__(self, program: T.Program) -> None:
+        self.program = program
+        self._hash = hash(program)  # TypeError for an unhashable AST
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _ProgramKey)
+            and self._hash == other._hash
+            and self.program == other.program
+        )
+
+
 class CompileSession:
     """A content-addressed cache of compilation passes.
 
@@ -281,9 +308,9 @@ class CompileSession:
             digest: Optional[str] = hashlib.sha256(
                 f"source\0{name}\0{content_hash}".encode("utf-8")
             ).hexdigest()
-        elif isinstance(key, tuple) and len(key) == 2 and key[0] == "program":
+        elif isinstance(key, _ProgramKey):
             try:
-                blob = pickle.dumps(key[1], protocol=4)
+                blob = pickle.dumps(key.program, protocol=4)
             except Exception:
                 blob = None
             digest = (
@@ -319,10 +346,9 @@ class CompileSession:
         are simply compiled uncached.
         """
         try:
-            hash(program)
+            return _ProgramKey(program)
         except TypeError:
             return None
-        return ("program", program)
 
     # -- the one cache path ------------------------------------------------------
     def serve(

@@ -335,6 +335,30 @@ class TestPlanReuse:
             assert session.plan_compiles == 3
             assert session.plan_source_compiles == 3
 
+    def test_memory_hits_do_not_rehash_the_program(self, monkeypatch):
+        """A builder program's key hashes its AST once, not on every hit."""
+        from repro.descend.ast import terms as T
+
+        with session_scope() as session:
+            compiled = CompilerDriver(session).compile_program(
+                vector.build_scale_program(n=64, block_size=32)
+            )
+            compiled.plan_source("scale_vec")
+            hashes = []
+            original = T.Program.__hash__
+
+            def counting_hash(program):
+                hashes.append(program)
+                return original(program)
+
+            monkeypatch.setattr(T.Program, "__hash__", counting_hash)
+            mark = session.pass_counts_snapshot()
+            for _ in range(100):
+                plan_src, _ = compiled.plan_source("scale_vec")
+                assert plan_src is not None
+            assert session.pass_counts_since(mark) == {"lower.plan.codegen": {"memory": 100}}
+            assert len(hashes) == 0
+
     def test_host_interpreter_reuses_kernel_handles(self):
         with session_scope() as session:
             compiled = CompilerDriver(session).compile_program(

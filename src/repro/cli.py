@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-age", type=float, default=None, dest="quarantine_age",
         metavar="SECONDS",
         help="age past which quarantined (corrupt) blobs are deleted for good "
-        "(default: REPRO_STORE_QUARANTINE_S or 3600)",
+        "(default: 3600)",
     )
     cache_gc.add_argument("--json", action="store_true")
     cache_gc.set_defaults(func=cmd_cache)

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.descend.store.backend import MAX_HTTP_BODY_BYTES, LocalDirBackend
-from repro.descend.store.cas import ArtifactStore, default_quarantine_age_s
+from repro.descend.store.cas import ArtifactStore
 from repro.descend.store.fingerprint import pipeline_fingerprint
 
 __all__ = ["StoreHttpEndpoint"]
@@ -178,9 +178,7 @@ class StoreHttpEndpoint:
                 options = _json_body(body)
                 self.backend.maintain(
                     _number(options.get("tmp_stale_s"), ArtifactStore.TMP_STALE_S),
-                    _number(
-                        options.get("quarantine_age_s"), default_quarantine_age_s()
-                    ),
+                    _number(options.get("quarantine_age_s"), ArtifactStore.TMP_STALE_S),
                 )
                 return _empty_response(204)
             if tail == ["clear"]:

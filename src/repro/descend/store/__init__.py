@@ -20,10 +20,8 @@ from repro.descend.store.backend import (
 )
 from repro.descend.store.cas import (
     DEFAULT_MAX_BYTES,
-    ENV_QUARANTINE_S,
     PICKLE_PROTOCOL,
     ArtifactStore,
-    default_quarantine_age_s,
 )
 from repro.descend.store.fingerprint import STORE_FORMAT, pipeline_fingerprint
 
@@ -34,9 +32,7 @@ __all__ = [
     "HttpBackend",
     "is_store_url",
     "DEFAULT_MAX_BYTES",
-    "ENV_QUARANTINE_S",
     "PICKLE_PROTOCOL",
     "STORE_FORMAT",
-    "default_quarantine_age_s",
     "pipeline_fingerprint",
 ]

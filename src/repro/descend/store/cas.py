@@ -60,21 +60,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Pinned pickle wire protocol (participates in the schema fingerprint).
 PICKLE_PROTOCOL = 4
 
-#: Environment override of the quarantine age-out threshold (seconds).
-ENV_QUARANTINE_S = "REPRO_STORE_QUARANTINE_S"
-
-
-def default_quarantine_age_s() -> float:
-    """The quarantine age-out threshold: env override or the tmp-stale default."""
-    raw = os.environ.get(ENV_QUARANTINE_S)
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return ArtifactStore.TMP_STALE_S
-
-
 class ArtifactStore:
     """A persistent, size-bounded, multi-process-safe artifact cache.
 
@@ -82,8 +67,7 @@ class ArtifactStore:
     ``None``, ``store`` → ``False``) instead of raising, so a broken disk,
     a hostile blob, or a racing process can never take compilation down
     with it.  ``root`` may be a directory path or an ``http(s)://`` URL of
-    a ``descendc serve --store-http`` endpoint (see
-    :meth:`ArtifactStore.open`).
+    a ``descendc serve --store-http`` endpoint.
     """
 
     def __init__(
@@ -110,16 +94,6 @@ class ArtifactStore:
         self._pending_touches: Dict[str, float] = {}
         self._touch_flushed = False
         self.backend.ensure_ready()
-
-    @classmethod
-    def open(
-        cls,
-        location: os.PathLike | str,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        schema: Optional[str] = None,
-    ) -> "ArtifactStore":
-        """Open a store by location — a directory path or an HTTP store URL."""
-        return cls(location, max_bytes=max_bytes, schema=schema)
 
     # -- layout passthrough (tests and tools reach into local-dir stores) ------
     def _object_path(self, digest: str):
@@ -297,14 +271,6 @@ class ArtifactStore:
         self._pending_touches.clear()
         self._touch_flushed = True
 
-    def _forget(self, digest: str) -> None:
-        """Drop one (broken) entry and its blob (best-effort)."""
-        try:
-            self.backend.blob_delete(digest)
-        except OSError:
-            pass
-        self._drop_entry(digest)
-
     def _quarantine(self, digest: str) -> None:
         """Move a poisoned blob aside and drop its index entry (best-effort).
 
@@ -348,14 +314,14 @@ class ArtifactStore:
         adopted, dangling entries (indexed, blob gone) dropped, stray files
         (foreign junk, stale staging files from killed writers) deleted,
         quarantined blobs older than ``quarantine_age_s`` (default:
-        :data:`ENV_QUARANTINE_S` or :data:`TMP_STALE_S`) removed, then LRU
+        :data:`TMP_STALE_S`) removed, then LRU
         eviction brings the store under ``max_bytes`` (default: the store's
         budget).
         """
         if max_bytes is not None:
             self.max_bytes = max(0, int(max_bytes))
         if quarantine_age_s is None:
-            quarantine_age_s = default_quarantine_age_s()
+            quarantine_age_s = self.TMP_STALE_S
         self.backend.maintain(self.TMP_STALE_S, max(0.0, float(quarantine_age_s)))
 
         def reconcile(raw: Optional[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
@@ -440,7 +406,5 @@ __all__ = [
     "ArtifactStore",
     "DEFAULT_MAX_BYTES",
     "PICKLE_PROTOCOL",
-    "ENV_QUARANTINE_S",
-    "default_quarantine_age_s",
     "is_store_url",
 ]

@@ -892,18 +892,6 @@ class TestHttpStore:
 
 
 class TestQuarantineAge:
-    def test_env_override_of_the_default_age(self, monkeypatch):
-        from repro.descend.store import ENV_QUARANTINE_S, default_quarantine_age_s
-
-        monkeypatch.delenv(ENV_QUARANTINE_S, raising=False)
-        assert default_quarantine_age_s() == ArtifactStore.TMP_STALE_S
-        monkeypatch.setenv(ENV_QUARANTINE_S, "120.5")
-        assert default_quarantine_age_s() == 120.5
-        monkeypatch.setenv(ENV_QUARANTINE_S, "-5")
-        assert default_quarantine_age_s() == 0.0  # clamped, not nonsense
-        monkeypatch.setenv(ENV_QUARANTINE_S, "not-a-number")
-        assert default_quarantine_age_s() == ArtifactStore.TMP_STALE_S
-
     def test_cache_gc_quarantine_age_flag(self, tmp_path, capsys):
         root = tmp_path / "store"
         store = ArtifactStore(root)
@@ -927,24 +915,6 @@ class TestQuarantineAge:
         ) == 0
         capsys.readouterr()
         assert not quarantined.exists()
-
-    def test_gc_env_var_sets_the_threshold(self, tmp_path, monkeypatch):
-        from repro.descend.store import ENV_QUARANTINE_S
-
-        root = tmp_path / "store"
-        store = ArtifactStore(root)
-        digest = "bb" * 32
-        store.store(digest, {"x": 1})
-        (root / "objects" / "bb" / digest).write_bytes(b"also garbage")
-        assert store.load(digest) is None
-        os.utime(root / "quarantine" / digest, (0, 0))
-
-        monkeypatch.setenv(ENV_QUARANTINE_S, "1e12")
-        store.gc()
-        assert store.quarantine_entries() == 1  # env says: keep
-        monkeypatch.setenv(ENV_QUARANTINE_S, "60")
-        store.gc()
-        assert store.quarantine_entries() == 0  # env says: aged out
 
 
 class TestCacheCliJsonShape:

@@ -497,7 +497,7 @@ def run_descend_engine_bench(
 
     This is the perf trajectory for the interpreter's device-plan backend:
     cycle parity is asserted per workload, and the wall-clock columns record
-    how far ``REPRO_SCALE`` can be pushed now that the sweep is vectorized
+    how far the workload scale can be pushed now that the sweep is vectorized
     and workloads compile once per sweep.  The sweep is a list of
     ``(size, scale)`` rows: pass ``rows`` directly, or ``sizes`` / ``scales``
     to take their cartesian product; the default is :data:`DESCEND_ROWS`.

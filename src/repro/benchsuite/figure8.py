@@ -94,8 +94,7 @@ def run_figure8(
     ``engine`` picks the execution engine for both variants (CUDA-lite and
     Descend); the cycle counts (and therefore every number in the figure)
     are engine-independent, but ``"vectorized"`` regenerates the data much
-    faster.  ``scale`` enlarges every workload footprint (equivalent to the
-    ``REPRO_SCALE`` environment variable, without mutating the environment).
+    faster.  ``scale`` enlarges every workload footprint.
     """
     result = Figure8Result()
     for benchmark in benchmarks:

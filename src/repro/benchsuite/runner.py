@@ -22,7 +22,7 @@ import statistics
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -425,7 +425,7 @@ def run_benchmark_pair(
     compiler (:mod:`repro.descend.plan`).  Because every engine produces
     identical cycle counts, the Figure 8 ratios are engine-independent —
     the lockstep engines just regenerate them much faster.  ``scale``
-    enlarges the workload footprint without touching ``REPRO_SCALE``.
+    enlarges the workload footprint.
     """
     workload_ = workload(benchmark, size, scale=scale)
     data, reference = _reference_and_data(workload_)

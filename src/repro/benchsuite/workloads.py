@@ -5,13 +5,12 @@ scan, matrix multiplication) at three memory footprints (256 MB, 512 MB and
 1 GB of GPU memory).  The pure-Python simulator interprets every thread, so
 the default footprints here are scaled down; the *relative* runtimes that
 Figure 8 reports are footprint-independent under the simulator's cost model
-(EXPERIMENTS.md records the scaling).  Set the environment variable
-``REPRO_SCALE`` to an integer factor to enlarge every workload.
+(EXPERIMENTS.md records the scaling).  Pass an integer ``scale`` (the
+``--scale`` CLI flag) to enlarge every workload.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -25,23 +24,14 @@ SIZES: Tuple[str, ...] = ("small", "medium", "large")
 
 
 def scale_factor(scale: Optional[int] = None) -> int:
-    """Resolve the workload scale factor.
+    """Resolve the workload scale factor (the ``--scale`` CLI flag).
 
-    An explicit ``scale`` (the ``--scale`` CLI flag, threaded through the
-    harness without mutating the environment) wins; otherwise the
-    ``REPRO_SCALE`` environment variable applies; invalid values fall back
-    to 1.
+    ``None`` and invalid values fall back to 1.
     """
-    if scale is not None:
-        try:
-            return max(1, int(scale))
-        except (TypeError, ValueError):
-            return 1
     try:
-        value = int(os.environ.get("REPRO_SCALE", "1"))
-    except ValueError:
+        return max(1, int(scale))
+    except (TypeError, ValueError):
         return 1
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -116,11 +106,7 @@ _BASE_PARAMS: Dict[str, Dict[str, Dict[str, int]]] = {
 
 
 def workload(benchmark: str, size: str, scale: Optional[int] = None) -> Workload:
-    """Build the workload for one benchmark at one size (with scaling applied).
-
-    ``scale`` overrides the ``REPRO_SCALE`` environment variable for this
-    workload only.
-    """
+    """Build the workload for one benchmark at one size, enlarged by ``scale``."""
     if benchmark not in _BASE_PARAMS:
         raise BenchmarkError(f"unknown benchmark {benchmark!r}; expected one of {BENCHMARKS}")
     if size not in _BASE_PARAMS[benchmark]:

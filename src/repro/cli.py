@@ -806,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig8.add_argument(
         "--scale", type=int, default=None,
-        help="workload scale factor (overrides REPRO_SCALE without touching the environment)",
+        help="workload scale factor (default 1)",
     )
     fig8.add_argument("--json", action="store_true")
     fig8.set_defaults(func=cmd_figure8)

@@ -9,14 +9,18 @@ writes the block's partial sum to the output.
 from __future__ import annotations
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 import numpy as np
 
 
 def block_reduce_kernel(ctx: ThreadCtx, input_buf: DeviceBuffer, output_buf: DeviceBuffer):
-    """One partial sum per block; ``output[blockIdx.x] = sum(chunk of input)``."""
+    """One partial sum per block; ``output[blockIdx.x] = sum(chunk of input)``.
+
+    The threads of a step that add nothing, and all but thread 0 at the end,
+    are predicated off with ``where=`` (CUDA's ``if (tid < stride)``), so
+    every engine runs this one body.
+    """
     tid = ctx.threadIdx.x
     block_size = ctx.blockDim.x
     base = ctx.blockIdx.x * block_size
@@ -28,39 +32,12 @@ def block_reduce_kernel(ctx: ThreadCtx, input_buf: DeviceBuffer, output_buf: Dev
 
     stride = block_size // 2
     while stride >= 1:
-        if tid < stride:
-            left = ctx.load(tmp, tid)
-            right = ctx.load(tmp, tid + stride)
-            ctx.arith(1)
-            ctx.store(tmp, tid, left + right)
-        yield  # __syncthreads()
-        stride //= 2
-
-    if tid == 0:
-        total = ctx.load(tmp, 0)
-        ctx.store(output_buf, ctx.blockIdx.x, total)
-
-
-@vectorized_impl(block_reduce_kernel)
-def block_reduce_kernel_vec(ctx, input_buf: DeviceBuffer, output_buf: DeviceBuffer):
-    """Vectorized tree reduction: active lanes are selected with ``where=``."""
-    tid = ctx.threadIdx.x
-    block_size = ctx.blockDim.x
-    base = ctx.blockIdx.x * block_size
-
-    tmp = ctx.shared("tmp", (block_size,), dtype=input_buf.dtype)
-    value = ctx.load(input_buf, base + tid)
-    ctx.store(tmp, tid, value)
-    ctx.sync()
-
-    stride = block_size // 2
-    while stride >= 1:
         active = tid < stride
         left = ctx.load(tmp, tid, where=active)
         right = ctx.load(tmp, tid + stride, where=active)
         ctx.arith(1, where=active)
         ctx.store(tmp, tid, left + right, where=active)
-        ctx.sync()
+        yield  # __syncthreads()
         stride //= 2
 
     leader = tid == 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.engine import vectorized_impl
 from repro.gpusim.launch import ThreadCtx
 
 
@@ -33,7 +32,12 @@ def scan_block_kernel(
     block_sums: DeviceBuffer,
     elems_per_thread: int,
 ):
-    """Per-block inclusive scan with sequential per-thread chunks."""
+    """Per-block inclusive scan with sequential per-thread chunks.
+
+    Thread 0's serial pass over the block's totals runs in every thread
+    under ``where=leader`` (CUDA's ``if (tid == 0)``), so every engine runs
+    this one body.
+    """
     tid = ctx.threadIdx.x
     block_size = ctx.blockDim.x
     base = (ctx.blockIdx.x * block_size + tid) * elems_per_thread
@@ -49,14 +53,14 @@ def scan_block_kernel(
     ctx.store(sums, tid, running)
     yield  # __syncthreads()
 
-    if tid == 0:
-        running_block = input_buf.dtype.type(0)
-        for i in range(block_size):
-            value = ctx.load(sums, i)
-            ctx.store(sums, i, running_block)
-            ctx.arith(1)
-            running_block = running_block + value
-        ctx.store(block_sums, ctx.blockIdx.x, running_block)
+    leader = tid == 0
+    running_block = input_buf.dtype.type(0)
+    for i in range(block_size):
+        value = ctx.load(sums, i, where=leader)
+        ctx.store(sums, i, running_block, where=leader)
+        ctx.arith(1, where=leader)
+        running_block = running_block + value
+    ctx.store(block_sums, ctx.blockIdx.x, running_block, where=leader)
     yield  # __syncthreads()
 
     offset = ctx.load(sums, tid)
@@ -77,47 +81,6 @@ def add_offsets_kernel(
     block_size = ctx.blockDim.x
     base = (ctx.blockIdx.x * block_size + tid) * elems_per_thread
     offset = ctx.load(block_offsets, ctx.blockIdx.x)
-    for j in range(elems_per_thread):
-        value = ctx.load(output_buf, base + j)
-        ctx.arith(1)
-        ctx.store(output_buf, base + j, value + offset)
-
-
-@vectorized_impl(scan_block_kernel)
-def scan_block_kernel_vec(
-    ctx,
-    input_buf: DeviceBuffer,
-    output_buf: DeviceBuffer,
-    block_sums: DeviceBuffer,
-    elems_per_thread: int,
-):
-    """Vectorized per-block scan; thread 0's serial pass runs under a mask."""
-    tid = ctx.threadIdx.x
-    block_size = ctx.blockDim.x
-    base = (ctx.blockIdx.x * block_size + tid) * elems_per_thread
-
-    running = ctx.zeros(dtype=input_buf.dtype)
-    for j in range(elems_per_thread):
-        value = ctx.load(input_buf, base + j)
-        ctx.arith(1)
-        running = running + value
-        ctx.store(output_buf, base + j, running)
-
-    sums = ctx.shared("sums", (block_size,), dtype=input_buf.dtype)
-    ctx.store(sums, tid, running)
-    ctx.sync()
-
-    leader = tid == 0
-    running_block = ctx.zeros(dtype=input_buf.dtype)
-    for i in range(block_size):
-        value = ctx.load(sums, i, where=leader)
-        ctx.store(sums, i, running_block, where=leader)
-        ctx.arith(1, where=leader)
-        running_block = running_block + value
-    ctx.store(block_sums, ctx.blockIdx.x, running_block, where=leader)
-    ctx.sync()
-
-    offset = ctx.load(sums, tid)
     for j in range(elems_per_thread):
         value = ctx.load(output_buf, base + j)
         ctx.arith(1)

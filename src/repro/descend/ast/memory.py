@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.descend.ast.exec_level import ExecLevel  # noqa: F401  (re-export convenience)
-
 
 class Memory:
     """Base class of memory-space annotations.

@@ -12,8 +12,8 @@ indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, List, Tuple, Union
 
 from repro.descend.nat import Nat, NatLike, as_nat
 from repro.descend.ast.views import ViewRef

@@ -8,8 +8,6 @@ paper's concrete syntax.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim
 from repro.descend.ast.exec_level import (

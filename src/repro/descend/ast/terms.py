@@ -14,8 +14,8 @@ paper, where everything is a term of some type — most statements have type
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 from repro.descend.ast.dims import Dim, DimName
 from repro.descend.ast.exec_level import ExecSpec

@@ -11,8 +11,8 @@ function must be run at.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
 from repro.descend.ast.exec_level import ExecSpec
 from repro.descend.ast.memory import Memory, MemVar

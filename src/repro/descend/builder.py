@@ -23,7 +23,7 @@ builder vocabulary:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import (
@@ -71,7 +71,7 @@ from repro.descend.ast.types import (
     view_of,
 )
 from repro.descend.ast.views import ViewRef
-from repro.descend.nat import Nat, NatLike, as_nat
+from repro.descend.nat import NatLike, as_nat
 
 __all__ = [
     # dims / memories / types re-exported for convenience

@@ -3,53 +3,20 @@
 Modules are generated through the staged driver's ``lower.cuda`` pass
 (:meth:`repro.descend.driver.CompileSession.cuda_module`), which caches them
 per ``(program, nat_env)`` content key; :func:`generate_cuda` stays the
-uncached primitive.  :meth:`CudaModule.fingerprint` digests the emitted
-source so callers (the compile-time benchmark, tests) can assert that
-cached artifacts are byte-identical to cold ones.
+uncached primitive.  :meth:`CudaModule.fingerprint`
+(:mod:`repro.descend.cuda_module`) digests the emitted source so callers (the
+compile-time benchmark, tests) can assert that cached artifacts are
+byte-identical to cold ones.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.descend.ast import terms as T
 from repro.descend.codegen.host_gen import generate_host_function
 from repro.descend.codegen.kernel_gen import generate_kernel
-
-_HEADER = """\
-// Generated by the Descend reproduction compiler (repro.descend.codegen).
-// Kernels were derived from Descend's holistic programming model; memory and
-// execution-resource annotations have been checked statically and erased.
-#include <cuda_runtime.h>
-#include <algorithm>
-"""
-
-
-@dataclass
-class CudaModule:
-    """The CUDA C++ translation of a Descend program."""
-
-    kernels: Dict[str, str] = field(default_factory=dict)
-    host_functions: Dict[str, str] = field(default_factory=dict)
-    header: str = _HEADER
-
-    def kernel(self, name: str) -> str:
-        return self.kernels[name]
-
-    def host(self, name: str) -> str:
-        return self.host_functions[name]
-
-    def full_source(self) -> str:
-        pieces = [self.header]
-        pieces.extend(self.kernels.values())
-        pieces.extend(self.host_functions.values())
-        return "\n".join(pieces)
-
-    def fingerprint(self) -> str:
-        """Content digest of the emitted module (artifact-identity checks)."""
-        return hashlib.sha256(self.full_source().encode("utf-8")).hexdigest()[:16]
+from repro.descend.cuda_module import CudaModule
 
 
 def generate_cuda(program: T.Program, nat_env: Optional[Dict[str, int]] = None) -> CudaModule:

@@ -18,8 +18,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim, DimName
-from repro.descend.ast.places import PVar, PlaceExpr
-from repro.descend.ast.types import ArrayType, ArrayViewType, AtType, DataType, RefType
+from repro.descend.ast.places import PlaceExpr
+from repro.descend.ast.types import ArrayType, ArrayViewType, RefType
 from repro.descend.codegen.index_expr import nat_to_cexpr
 from repro.descend.codegen.kernel_gen import scalar_ctype
 from repro.descend.codegen.writer import SourceWriter

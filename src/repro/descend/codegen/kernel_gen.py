@@ -15,22 +15,21 @@ The translation follows Section 5 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Union
 
 from repro.descend.ast import terms as T
-from repro.descend.ast.dims import Dim, DimName
+from repro.descend.ast.dims import DimName
 from repro.descend.ast.exec_level import GpuGridLevel
 from repro.descend.ast.places import PDeref, PIdx, PProj, PSelect, PVar, PView, PlaceExpr
 from repro.descend.ast.types import (
     ArrayType,
     ArrayViewType,
-    AtType,
     DataType,
     RefType,
     ScalarType,
 )
-from repro.descend.codegen.index_expr import CExpr, CSym, as_cexpr, cconst, csym, nat_to_cexpr
+from repro.descend.codegen.index_expr import CExpr, as_cexpr, cconst, csym, nat_to_cexpr
 from repro.descend.codegen.writer import SourceWriter
 from repro.descend.nat import Nat
 from repro.descend.views.indexing import LogicalArray, LogicalPair, bind_view

@@ -33,7 +33,6 @@ from repro.descend.ast.types import (
     I32,
     Kind,
     RefType,
-    ScalarType,
     TupleType,
     TyVar,
     UNIT,
@@ -45,7 +44,7 @@ from repro.descend.diagnostics import Diagnostic
 from repro.descend.frontend.lexer import Lexer
 from repro.descend.frontend.tokens import Token, TokenKind
 from repro.descend.nat import Nat, NatBinOp, NatConst, NatVar
-from repro.descend.source import NO_SPAN, SourceFile, Span
+from repro.descend.source import SourceFile, Span
 from repro.errors import DescendSyntaxError
 
 _MEMORY_ROOTS = ("cpu", "gpu")

@@ -15,7 +15,7 @@ the interpreter's statement execution is generator-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim, DimName
 from repro.descend.ast.exec_level import GpuGridLevel
 from repro.descend.ast.places import PDeref, PIdx, PProj, PSelect, PVar, PView, PlaceExpr
-from repro.descend.ast.types import ArrayType, ArrayViewType, DataType, RefType, ScalarType
 from repro.descend.interp.values import MemValue, Value, numpy_dtype, static_shape
 from repro.descend.nat import Nat, evaluate_nat
 from repro.descend.views.indexing import LogicalArray, LogicalPair, bind_view

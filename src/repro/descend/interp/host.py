@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.descend.ast import terms as T
-from repro.descend.ast.dims import DimName
 from repro.descend.ast.places import PDeref, PIdx, PVar, PlaceExpr
-from repro.descend.ast.types import ArrayType, ArrayViewType, DataType
 from repro.descend.interp.device import DescendKernel
 from repro.descend.interp.values import MemValue, Value, numpy_dtype, static_shape
 from repro.descend.nat import Nat, evaluate_nat

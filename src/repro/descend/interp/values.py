@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-from repro.descend.ast.types import ArrayType, ArrayViewType, AtType, DataType, RefType, ScalarType
+from repro.descend.ast.types import ArrayType, ArrayViewType, DataType, ScalarType
 from repro.descend.nat import evaluate_nat
 from repro.descend.views.indexing import LogicalArray
 from repro.errors import DescendRuntimeError

@@ -25,15 +25,14 @@ On success the access is recorded in A (producing the A′ of the judgement).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.descend.ast.exec_resources import ExecResource, exec_disjoint
+from repro.descend.ast.exec_resources import ExecResource
 from repro.descend.diagnostics import Diagnostic
 from repro.descend.source import Span
 from repro.descend.typeck.context import AccessRecord, Loan, TypingContext
 from repro.descend.typeck.overlap import Overlap, compare_places, places_may_overlap
 from repro.descend.typeck.place_typing import PlaceInfo
-from repro.errors import DescendTypeError
 
 SHRD = "shrd"
 UNIQ = "uniq"

@@ -14,7 +14,7 @@ code and labels used to render the messages shown in Section 2 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim, DimName
@@ -32,8 +32,8 @@ from repro.descend.ast.exec_resources import (
     GpuGridRes,
     make_split,
 )
-from repro.descend.ast.memory import CPU_MEM, GPU_GLOBAL, GPU_LOCAL, GPU_SHARED, Memory
-from repro.descend.ast.places import PVar, PlaceExpr
+from repro.descend.ast.memory import CPU_MEM, GPU_GLOBAL, Memory
+from repro.descend.ast.places import PVar
 from repro.descend.ast.types import (
     ArrayType,
     ArrayViewType,
@@ -43,18 +43,16 @@ from repro.descend.ast.types import (
     F32,
     F64,
     FnType,
-    GenericParam,
     I32,
     Kind,
     RefType,
     ScalarType,
-    TupleType,
     UNIT,
     assignable,
     types_equal,
 )
 from repro.descend.diagnostics import Diagnostic, DiagnosticBag
-from repro.descend.nat import Nat, NatError, nat_le
+from repro.descend.nat import Nat, nat_le
 from repro.descend.source import NO_SPAN, SourceFile, Span
 from repro.descend.typeck.access_check import SHRD, UNIQ, access_safety_check
 from repro.descend.typeck.context import (

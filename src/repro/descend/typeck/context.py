@@ -13,8 +13,8 @@ This module defines the pieces of the typing judgement's context:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.descend.ast.exec_level import ExecSpec
 from repro.descend.ast.exec_resources import ExecResource

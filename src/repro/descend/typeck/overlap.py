@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.descend.ast.places import (
     PDeref,

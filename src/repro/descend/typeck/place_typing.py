@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.descend.ast.exec_resources import ForallRes
 from repro.descend.ast.memory import CPU_MEM, GPU_LOCAL, Memory
 from repro.descend.ast.places import (
     PDeref,
@@ -37,14 +36,13 @@ from repro.descend.ast.types import (
     AtType,
     DataType,
     RefType,
-    ScalarType,
     TupleType,
 )
 from repro.descend.diagnostics import Diagnostic
 from repro.descend.nat import Nat, NatConst, nat_equal
 from repro.descend.source import Span
 from repro.descend.typeck.context import TypingContext, VarInfo
-from repro.descend.views.indexing import BoundView, bind_view
+from repro.descend.views.indexing import bind_view
 from repro.descend.views.registry import ViewError
 from repro.errors import DescendTypeError
 

@@ -17,8 +17,8 @@ each view transforming the index produced so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.descend.ast.views import ViewRef
 from repro.descend.nat import Nat

@@ -20,7 +20,7 @@ projected half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.descend.ast.views import ViewRef
 from repro.descend.nat import Nat, nat_divisible, nat_le

@@ -14,7 +14,7 @@ import math
 
 from repro.descend.builder import *
 from repro.descend.ast import terms as T
-from repro.descend.nat import NatBinOp, NatConst, NatVar, as_nat
+from repro.descend.nat import NatVar, as_nat
 
 
 def build_reduce_kernel(n: int, block_size: int) -> T.FunDef:

@@ -18,8 +18,11 @@ simulator with
   give identical cycle counts; the last two are an order of magnitude
   faster.
 
-Kernels are Python functions ``kernel(ctx, *args)``; a kernel with
-barriers is a generator whose ``yield`` acts as ``__syncthreads()``.  Both
+Kernels are Python functions ``kernel(ctx, *args)``, written once for
+every engine; a kernel with barriers is a generator whose ``yield`` acts as
+``__syncthreads()``, and a thread that branches on its own index passes the
+condition as the ``where=`` predicate of its loads, stores and arithmetic
+(:class:`ThreadCtx` and :class:`VecCtx` accept the same calls).  Both
 the handwritten CUDA-lite baselines and the Descend interpreter execute on
 this substrate, so the relative runtimes reported in the benchmark harness
 compare like with like.
@@ -28,7 +31,7 @@ compare like with like.
 from repro.gpusim.buffer import DeviceBuffer, HostBuffer
 from repro.gpusim.cost import CostModel, CostParameters, KernelCost
 from repro.gpusim.device import GpuDevice, LaunchResult
-from repro.gpusim.engine import EXECUTION_MODES, VecCtx, get_engine, vectorized_impl
+from repro.gpusim.engine import EXECUTION_MODES, VecCtx, get_engine
 from repro.gpusim.launch import ThreadCtx
 from repro.gpusim.races import RaceDetector, RaceReport
 
@@ -46,5 +49,4 @@ __all__ = [
     "EXECUTION_MODES",
     "VecCtx",
     "get_engine",
-    "vectorized_impl",
 ]

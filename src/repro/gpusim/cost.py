@@ -22,7 +22,7 @@ same access patterns are ≈ 1, which is the property Figure 8 reports.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import DefaultDict, Dict, Iterable, List, Tuple
 
 import numpy as np

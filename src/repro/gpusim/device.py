@@ -75,10 +75,10 @@ class GpuDevice:
     ``"reference"`` (per-thread generator interpreter, the semantic baseline)
     or ``"vectorized"`` (lockstep numpy execution, identical cycle counts,
     an order of magnitude faster).  ``"jit"`` is a second name for the same
-    lockstep runner.  A lockstep launch runs the kernel as written, or the
-    port registered with :func:`repro.gpusim.engine.vectorized_impl` for a
-    kernel whose threads branch on their own index.  Individual launches can
-    override it via ``launch(..., execution_mode=...)``.
+    lockstep runner.  Every engine runs the kernel as written; a kernel
+    whose threads branch on their own index predicates its calls with
+    ``where=``.  Individual launches can override it via
+    ``launch(..., execution_mode=...)``.
     """
 
     def __init__(

@@ -14,8 +14,9 @@ engines:
   *identical* cycle counts and race verdicts at a fraction of the wall-clock
   time.  Its runner, :func:`~repro.gpusim.engine.vectorized.run_lockstep`,
   runs a per-thread kernel as written, with one ``ctx.sync()`` per
-  ``yield``.  A kernel whose threads branch on their own index registers a
-  masked port with :func:`vectorized_impl` instead.
+  ``yield``.  A kernel whose threads branch on their own index passes the
+  condition as the ``where=`` predicate of its loads, stores and
+  arithmetic, so every engine runs the one body.
 * ``"jit"`` (:mod:`repro.gpusim.engine.jit`) — a second name for the same
   lockstep runner.  A Descend kernel runs on both as its generated plan
   source (straight-line Python emitted by the ``lower.plan.codegen`` pass).
@@ -34,13 +35,10 @@ from repro.gpusim.engine.base import (
     EngineStats,
     ExecutionEngine,
     get_engine,
-    resolve_reference,
-    resolve_vectorized,
-    vectorized_impl,
 )
 from repro.gpusim.engine.jit import JitCostModel, JitEngine
 from repro.gpusim.engine.reference import ReferenceEngine
-from repro.gpusim.engine.vectorized import VecCtx, VecLocalBuffer, VecSharedBuffer, VectorizedEngine
+from repro.gpusim.engine.vectorized import VecCtx, VecStackedBuffer, VectorizedEngine
 
 __all__ = [
     "EXECUTION_MODES",
@@ -50,11 +48,7 @@ __all__ = [
     "JitEngine",
     "ReferenceEngine",
     "VecCtx",
-    "VecLocalBuffer",
-    "VecSharedBuffer",
+    "VecStackedBuffer",
     "VectorizedEngine",
     "get_engine",
-    "resolve_reference",
-    "resolve_vectorized",
-    "vectorized_impl",
 ]

@@ -1,4 +1,4 @@
-"""Engine interface, registry, and the vectorized-kernel registration API."""
+"""Engine interface and registry."""
 
 from __future__ import annotations
 
@@ -11,11 +11,6 @@ from repro.gpusim.cost import CostModel
 from repro.gpusim.races import RaceDetector
 
 Dim3 = Tuple[int, int, int]
-
-#: Attribute linking a reference kernel to its vectorized implementation.
-_VECTORIZED_ATTR = "__vectorized_impl__"
-#: Attribute linking a vectorized kernel back to its reference implementation.
-_REFERENCE_ATTR = "__reference_impl__"
 
 
 @dataclass
@@ -42,46 +37,6 @@ class ExecutionEngine(abc.ABC):
         warp_size: int = 32,
     ) -> EngineStats:
         """Execute every thread of the launch; mutates buffers in ``args``."""
-
-
-def vectorized_impl(reference_kernel: Callable) -> Callable[[Callable], Callable]:
-    """Decorator registering a masked lockstep port of a per-thread kernel.
-
-    The lockstep engines run a per-thread kernel as it is written, unless
-    its threads branch on their own index: numpy refuses ``if`` on an index
-    array, so such a kernel needs a port that selects lanes with ``where=``
-    masks instead.  Usage::
-
-        def my_kernel(ctx, buf):          # reference, per-thread
-            if ctx.threadIdx.x == 0:
-                ctx.store(buf, 0, 1.0)
-
-        @vectorized_impl(my_kernel)
-        def my_kernel_vec(ctx, buf):      # lockstep, per-grid
-            ctx.store(buf, 0, 1.0, where=ctx.threadIdx.x == 0)
-
-    After registration either function can be passed to
-    :meth:`GpuDevice.launch`; each engine resolves the implementation it
-    needs, so call sites do not change when switching modes.
-    """
-
-    def register(vec_kernel: Callable) -> Callable:
-        setattr(reference_kernel, _VECTORIZED_ATTR, vec_kernel)
-        setattr(vec_kernel, _VECTORIZED_ATTR, vec_kernel)
-        setattr(vec_kernel, _REFERENCE_ATTR, reference_kernel)
-        return vec_kernel
-
-    return register
-
-
-def resolve_vectorized(kernel: Callable) -> Optional[Callable]:
-    """The vectorized implementation registered for ``kernel`` (or ``None``)."""
-    return getattr(kernel, _VECTORIZED_ATTR, None)
-
-
-def resolve_reference(kernel: Callable) -> Callable:
-    """The reference implementation for ``kernel`` (itself if unregistered)."""
-    return getattr(kernel, _REFERENCE_ATTR, kernel)
 
 
 #: The execution modes a device or launch can select.

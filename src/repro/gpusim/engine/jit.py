@@ -4,8 +4,7 @@ The ``jit`` engine is a second name for the lockstep runner
 (:func:`~repro.gpusim.engine.vectorized.run_lockstep`) that the
 ``vectorized`` engine uses, so the two run every launch identically: a
 Descend kernel as its generated plan source (straight-line Python emitted by
-:mod:`repro.descend.plan.codegen`), a CUDA-lite kernel as written or as its
-``@vectorized_impl`` port.
+:mod:`repro.descend.plan.codegen`), a CUDA-lite kernel as written.
 
 :class:`JitCostModel` is the cost model :meth:`GpuDevice.launch
 <repro.gpusim.device.GpuDevice.launch>` builds for every launch, whatever the

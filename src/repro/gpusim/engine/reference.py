@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.gpusim.cost import CostModel
-from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine, resolve_reference
+from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine
 from repro.gpusim.launch import _iter_indices, run_block
 from repro.gpusim.races import RaceDetector
 
@@ -31,11 +31,10 @@ class ReferenceEngine(ExecutionEngine):
         races: Optional[RaceDetector],
         warp_size: int = 32,
     ) -> EngineStats:
-        impl = resolve_reference(kernel)
         stats = EngineStats()
         for block_idx in _iter_indices(grid_dim):
             block_stats = run_block(
-                kernel=impl,
+                kernel=kernel,
                 args=tuple(args),
                 block_idx=block_idx,
                 block_dim=block_dim,

@@ -16,10 +16,11 @@ Parity with the reference engine is exact, not approximate:
   of a divergent branch in the reference engine;
 * barriers advance one epoch for the whole grid and record one barrier per
   block, matching the per-block accounting of :func:`run_block`;
-* shared memory is stored as one ``(blocks, size)`` array; the cost model
-  sees within-block byte addresses (bank conflicts are per block) while the
-  race detector sees block-disjoint offsets (so cross-block false positives
-  are impossible, mirroring the per-block buffers of the reference engine).
+* shared memory is stored as one ``(blocks, size)`` array and local memory
+  as one ``(threads, size)`` array; the cost model sees within-block byte
+  addresses (bank conflicts are per block) while the race detector sees
+  block-disjoint shared offsets (so cross-block false positives are
+  impossible, mirroring the per-block buffers of the reference engine).
 
 :func:`run_lockstep` is the one runner of this engine and of the ``jit``
 engine.  It calls the kernel once with a grid-wide :class:`VecCtx`, so a
@@ -27,10 +28,11 @@ per-thread CUDA-lite kernel runs as written.  A kernel with barriers is a
 generator with a ``yield`` where CUDA calls ``__syncthreads()``, and each
 ``yield`` becomes one ``ctx.sync()``.  Plan kernels generated from Descend
 programs call ``ctx.sync()`` themselves.  A kernel whose threads branch on
-their own index cannot run in lockstep: numpy refuses ``if`` on an index
-array, so its launch raises rather than return a result.  Such a kernel
-registers a port (:func:`~repro.gpusim.engine.base.vectorized_impl`) that
-passes boolean ``where=`` masks instead, and the runner prefers it.
+their own index passes the condition as the ``where=`` predicate of each
+load, store and ``arith`` call, which both :class:`VecCtx` and the reference
+engine's :class:`~repro.gpusim.launch.ThreadCtx` accept.  A plain ``if`` on
+an index cannot run in lockstep: numpy refuses the truth value of an index
+array, so such a launch raises rather than return a result.
 By construction every block reaches every ``sync()`` — barrier divergence
 cannot be expressed, which is why the reference engine remains the semantic
 baseline for arbitrary kernels.
@@ -48,7 +50,7 @@ import numpy as np
 from repro.errors import DeviceMemoryError
 from repro.gpusim.buffer import DeviceBuffer, next_buffer_id
 from repro.gpusim.cost import CostModel
-from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine, resolve_vectorized
+from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine
 from repro.gpusim.launch import Index3
 from repro.gpusim.races import RaceDetector
 
@@ -62,48 +64,24 @@ class VecIndex3:
     z: np.ndarray
 
 
-class VecSharedBuffer:
-    """Per-block shared memory of one launch, stacked over all blocks.
+class VecStackedBuffer:
+    """Shared or local memory of one launch, one row per block or thread.
 
-    ``data[b, i]`` is element ``i`` of block ``b``'s copy; ``size`` is the
-    per-block element count (what kernels index against).
+    ``data[r, i]`` is element ``i`` of row ``r``'s copy: a row per block for
+    ``space="shared"``, a row per (global) thread for ``space="local"``.
+    ``size`` is the per-row element count (what kernels index against).  The
+    reference engine allocates one :class:`~repro.gpusim.buffer.DeviceBuffer`
+    per block or per thread; one of these stands for all of them.
     """
 
-    space = "shared"
-
-    def __init__(self, num_blocks: int, shape: Sequence[int], dtype, label: str = "") -> None:
+    def __init__(self, rows: int, shape: Sequence[int], dtype, space: str, label: str) -> None:
         self.shape = tuple(int(s) for s in shape) or (1,)
         if any(s <= 0 for s in self.shape):
-            raise DeviceMemoryError(f"invalid shared buffer shape {self.shape}")
+            raise DeviceMemoryError(f"invalid {space} buffer shape {self.shape}")
         self.size = int(math.prod(self.shape))
         self.dtype = np.dtype(dtype)
-        self.data = np.zeros((num_blocks, self.size), dtype=self.dtype)
-        self.label = label
-        self.buffer_id = next_buffer_id()
-
-    @property
-    def element_size(self) -> int:
-        return int(self.data.itemsize)
-
-
-class VecLocalBuffer:
-    """Per-thread private memory of one launch, stacked over all threads.
-
-    ``data[t, i]`` is element ``i`` of (global) thread ``t``'s copy; ``size``
-    is the per-thread element count.  The reference engine allocates one
-    :class:`~repro.gpusim.buffer.DeviceBuffer` per thread per ``ctx.local()``
-    call; this is the batched equivalent (one call allocates for the grid).
-    """
-
-    space = "local"
-
-    def __init__(self, num_threads: int, shape: Sequence[int], dtype, label: str = "local") -> None:
-        self.shape = tuple(int(s) for s in shape) or (1,)
-        if any(s <= 0 for s in self.shape):
-            raise DeviceMemoryError(f"invalid local buffer shape {self.shape}")
-        self.size = int(math.prod(self.shape))
-        self.dtype = np.dtype(dtype)
-        self.data = np.zeros((num_threads, self.size), dtype=self.dtype)
+        self.data = np.zeros((rows, self.size), dtype=self.dtype)
+        self.space = space
         self.label = label
         self.buffer_id = next_buffer_id()
 
@@ -152,7 +130,7 @@ class VecCtx:
         self._epoch = 0
         self._barriers = 0
         self._slots = np.zeros(self.num_threads, dtype=np.int64)
-        self._shared_pool: Dict[str, VecSharedBuffer] = {}
+        self._shared_pool: Dict[str, VecStackedBuffer] = {}
 
     @property
     def epoch(self) -> int:
@@ -163,10 +141,6 @@ class VecCtx:
         return self._barriers
 
     # -- helpers -------------------------------------------------------------------
-    def zeros(self, dtype=np.float64) -> np.ndarray:
-        """A fresh per-thread register file (one element per thread)."""
-        return np.zeros(self.num_threads, dtype=dtype)
-
     def _per_thread(self, values, name: str) -> np.ndarray:
         array = np.asarray(values)
         if array.ndim == 0:
@@ -187,7 +161,7 @@ class VecCtx:
 
     def _record(
         self,
-        buffer: Union[DeviceBuffer, VecSharedBuffer, VecLocalBuffer],
+        buffer: Union[DeviceBuffer, VecStackedBuffer],
         offsets: np.ndarray,
         mask: Optional[np.ndarray],
         is_write: bool,
@@ -211,9 +185,9 @@ class VecCtx:
             threads = self.linear_thread_id[mask]
             slots = self._slots[mask]
             self._slots[mask] += 1
-        if isinstance(buffer, VecSharedBuffer):
+        if buffer.space == "shared":
             rows: Optional[np.ndarray] = blocks
-        elif isinstance(buffer, VecLocalBuffer):
+        elif buffer.space == "local":
             rows = self.global_thread_id if mask is None else self.global_thread_id[mask]
         else:
             rows = None
@@ -261,7 +235,7 @@ class VecCtx:
     # -- memory ---------------------------------------------------------------------
     def load(
         self,
-        buffer: Union[DeviceBuffer, VecSharedBuffer, VecLocalBuffer],
+        buffer: Union[DeviceBuffer, VecStackedBuffer],
         offsets,
         where=None,
     ) -> np.ndarray:
@@ -279,7 +253,7 @@ class VecCtx:
 
     def store(
         self,
-        buffer: Union[DeviceBuffer, VecSharedBuffer, VecLocalBuffer],
+        buffer: Union[DeviceBuffer, VecStackedBuffer],
         offsets,
         values,
         where=None,
@@ -318,17 +292,17 @@ class VecCtx:
         self._epoch += 1
 
     # -- allocation --------------------------------------------------------------------
-    def shared(self, name: str, shape: Sequence[int], dtype=np.float64) -> VecSharedBuffer:
+    def shared(self, name: str, shape: Sequence[int], dtype=np.float64) -> VecStackedBuffer:
         """Per-block shared memory (one stacked copy per block)."""
         if name not in self._shared_pool:
-            self._shared_pool[name] = VecSharedBuffer(
-                self.num_blocks, shape, dtype=dtype, label=f"shared:{name}"
+            self._shared_pool[name] = VecStackedBuffer(
+                self.num_blocks, shape, dtype, "shared", label=f"shared:{name}"
             )
         return self._shared_pool[name]
 
-    def local(self, shape: Sequence[int], dtype=np.float64, label: str = "local") -> VecLocalBuffer:
+    def local(self, shape: Sequence[int], dtype=np.float64, label: str = "local") -> VecStackedBuffer:
         """Per-thread private memory (one stacked copy per thread of the grid)."""
-        return VecLocalBuffer(self.num_threads, shape, dtype=dtype, label=label)
+        return VecStackedBuffer(self.num_threads, shape, dtype, "local", label=label)
 
 
 def run_lockstep(
@@ -342,13 +316,11 @@ def run_lockstep(
 ) -> EngineStats:
     """Run every thread of a launch in lockstep over one :class:`VecCtx`.
 
-    Runs the kernel's ``@vectorized_impl`` port if one is registered, else
-    the kernel itself, and drives a generator kernel with one ``ctx.sync()``
-    per ``yield``.
+    Runs the kernel as written and drives a generator kernel with one
+    ``ctx.sync()`` per ``yield``.
     """
-    impl = resolve_vectorized(kernel) or kernel
     ctx = VecCtx(grid_dim, block_dim, cost=cost, races=races, warp_size=warp_size)
-    result = impl(ctx, *args)
+    result = kernel(ctx, *args)
     if inspect.isgenerator(result):
         for _ in result:
             ctx.sync()

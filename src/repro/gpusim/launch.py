@@ -6,12 +6,15 @@ and ``yield`` wherever CUDA would call ``__syncthreads()``; the block
 executor advances all threads of a block from barrier to barrier and checks
 that they reach barriers together (barrier divergence is an error, mirroring
 the undefined behaviour of CUDA described in Section 2 of the paper).
+A thread that branches on its own index passes the condition as the
+``where=`` predicate of its loads, stores and arithmetic, so the same kernel
+also runs on the lockstep engines.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,21 +145,27 @@ class ThreadCtx:
                 )
             )
 
-    def load(self, buffer: DeviceBuffer, offset: int):
-        """Read one element of a buffer."""
+    # Each call takes CUDA's ``if (where)`` around it: under a false predicate
+    # the thread makes no access, advances no slot and counts no arithmetic.
+    def load(self, buffer: DeviceBuffer, offset: int, where=None):
+        """Read one element of a buffer; the dtype's zero where predicated off."""
+        if where is not None and not where:
+            return buffer.dtype.type(0)
         offset = int(offset)
         self._record(buffer, offset, is_write=False)
         return buffer.read(offset)
 
-    def store(self, buffer: DeviceBuffer, offset: int, value) -> None:
+    def store(self, buffer: DeviceBuffer, offset: int, value, where=None) -> None:
         """Write one element of a buffer."""
+        if where is not None and not where:
+            return
         offset = int(offset)
         self._record(buffer, offset, is_write=True)
         buffer.write(offset, value)
 
-    def arith(self, count: int = 1) -> None:
+    def arith(self, count: int = 1, where=None) -> None:
         """Account for arithmetic instructions executed by this thread."""
-        if self._cost is not None:
+        if self._cost is not None and (where is None or where):
             self._cost.record_arithmetic(count)
 
     # -- allocation --------------------------------------------------------------------

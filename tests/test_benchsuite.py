@@ -49,14 +49,10 @@ class TestWorkloads:
     def test_labels(self):
         assert workload("reduce", "small").label == "reduce/small"
 
-    def test_explicit_scale_overrides_environment(self, monkeypatch):
+    def test_scale_comes_only_from_the_argument(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "2")
-        scaled = workload("reduce", "small", scale=3)
-        from_env = workload("reduce", "small")
-        assert scaled.params["n"] == 3 * 4096
-        assert from_env.params["n"] == 2 * 4096
-        # the explicit scale must not leak into the environment
-        assert workload("reduce", "small").params["n"] == 2 * 4096
+        assert workload("reduce", "small").params["n"] == 4096
+        assert workload("reduce", "small", scale=3).params["n"] == 3 * 4096
 
     def test_scale_one_is_default(self):
         assert workload("matmul", "small", scale=1).params == workload("matmul", "small").params

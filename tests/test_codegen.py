@@ -3,7 +3,7 @@
 import pytest
 
 from repro.descend.codegen import generate_cuda
-from repro.descend.codegen.index_expr import CBinOp, CConst, CSym, cconst, csym, nat_to_cexpr
+from repro.descend.codegen.index_expr import cconst, csym, nat_to_cexpr
 from repro.descend.nat import NatBinOp, NatConst, NatVar, as_nat
 from repro.descend_programs import matmul, reduce, scan, transpose, vector
 from repro.errors import DescendCodegenError

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cudalite.kernels import buggy, matmul, reduce, scan, transpose, vector
-from repro.gpusim import GpuDevice
 
 
 class TestVectorKernels:

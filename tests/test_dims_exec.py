@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.descend.ast.dims import Dim, DimName, dim_from_spec, dim_x, dim_xy, dim_xyz
+from repro.descend.ast.dims import Dim, DimName, dim_from_spec, dim_x, dim_xy
 from repro.descend.ast.exec_resources import (
     CpuThreadRes,
     ForallRes,

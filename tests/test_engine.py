@@ -10,9 +10,9 @@ import pytest
 
 from repro.cudalite.kernels import buggy, histogram, matmul, reduce, scan, stencil, transpose, vector
 from repro.errors import DeviceMemoryError, LaunchConfigurationError
-from repro.gpusim import CostModel, CostParameters, GpuDevice, RaceDetector, vectorized_impl
+from repro.gpusim import CostModel, CostParameters, GpuDevice, RaceDetector
 from repro.gpusim.cost import MemoryAccess
-from repro.gpusim.engine import EXECUTION_MODES, get_engine, resolve_reference, resolve_vectorized
+from repro.gpusim.engine import EXECUTION_MODES, get_engine
 from repro.gpusim.engine.jit import JitCostModel
 from repro.gpusim.races import RecordedAccess
 
@@ -213,6 +213,116 @@ class TestKernelParity:
         assert np.allclose(out["vectorized"][0], x + (0.5 * x + y))
 
 
+def branching_reduce_kernel(ctx, input_buf, output_buf):
+    """``block_reduce_kernel`` with CUDA's ``if`` branches (reference engine only)."""
+    tid = ctx.threadIdx.x
+    block_size = ctx.blockDim.x
+    base = ctx.blockIdx.x * block_size
+
+    tmp = ctx.shared("tmp", (block_size,), dtype=input_buf.dtype)
+    value = ctx.load(input_buf, base + tid)
+    ctx.store(tmp, tid, value)
+    yield  # __syncthreads()
+
+    stride = block_size // 2
+    while stride >= 1:
+        if tid < stride:
+            left = ctx.load(tmp, tid)
+            right = ctx.load(tmp, tid + stride)
+            ctx.arith(1)
+            ctx.store(tmp, tid, left + right)
+        yield  # __syncthreads()
+        stride //= 2
+
+    if tid == 0:
+        total = ctx.load(tmp, 0)
+        ctx.store(output_buf, ctx.blockIdx.x, total)
+
+
+def branching_scan_block_kernel(ctx, input_buf, output_buf, block_sums, elems_per_thread):
+    """``scan_block_kernel`` with CUDA's ``if`` branch (reference engine only)."""
+    tid = ctx.threadIdx.x
+    block_size = ctx.blockDim.x
+    base = (ctx.blockIdx.x * block_size + tid) * elems_per_thread
+
+    running = input_buf.dtype.type(0)
+    for j in range(elems_per_thread):
+        value = ctx.load(input_buf, base + j)
+        ctx.arith(1)
+        running = running + value
+        ctx.store(output_buf, base + j, running)
+
+    sums = ctx.shared("sums", (block_size,), dtype=input_buf.dtype)
+    ctx.store(sums, tid, running)
+    yield  # __syncthreads()
+
+    if tid == 0:
+        running_block = input_buf.dtype.type(0)
+        for i in range(block_size):
+            value = ctx.load(sums, i)
+            ctx.store(sums, i, running_block)
+            ctx.arith(1)
+            running_block = running_block + value
+        ctx.store(block_sums, ctx.blockIdx.x, running_block)
+    yield  # __syncthreads()
+
+    offset = ctx.load(sums, tid)
+    for j in range(elems_per_thread):
+        value = ctx.load(output_buf, base + j)
+        ctx.arith(1)
+        ctx.store(output_buf, base + j, value + offset)
+
+
+class TestPredicationMatchesBranching:
+    """A ``where=`` predicate is CUDA's ``if`` around one call.
+
+    On the reference engine the predicated CUDA-lite kernels must match
+    their ``if``-style bodies in outputs, cycles, cost, barriers and races.
+    """
+
+    @staticmethod
+    def assert_same(predicated, branching):
+        (pred_out, pred_launch), (branch_out, branch_launch) = predicated, branching
+        for pred, branch in zip(pred_out, branch_out):
+            assert np.array_equal(pred, branch)
+        assert pred_launch.cycles == branch_launch.cycles
+        assert pred_launch.cost.summary() == branch_launch.cost.summary()
+        assert pred_launch.barriers == branch_launch.barriers > 0
+        assert len(pred_launch.races) == len(branch_launch.races)
+
+    def test_reduce(self, rng):
+        data = rng.random(2048)
+
+        def run(kernel):
+            device = GpuDevice()
+            input_buf = device.to_device(data)
+            output_buf = device.malloc((32,))
+            launch = device.launch(
+                kernel, grid_dim=(32,), block_dim=(64,), args=(input_buf, output_buf)
+            )
+            return [device.to_host(output_buf)], launch
+
+        self.assert_same(run(reduce.block_reduce_kernel), run(branching_reduce_kernel))
+
+    def test_scan(self, rng):
+        n, block_size, per_thread = 1024, 32, 4
+        blocks = n // (block_size * per_thread)
+        data = rng.random(n)
+
+        def run(kernel):
+            device = GpuDevice()
+            input_buf = device.to_device(data)
+            output_buf = device.malloc((n,))
+            sums_buf = device.malloc((blocks,))
+            launch = device.launch(
+                kernel, grid_dim=(blocks,), block_dim=(block_size,),
+                args=(input_buf, output_buf, sums_buf, per_thread),
+            )
+            return [device.to_host(output_buf), device.to_host(sums_buf)], launch
+
+        self.assert_same(run(scan.scan_block_kernel), run(branching_scan_block_kernel))
+
+
 class TestRaceInjection:
     def test_buggy_transpose_races_on_both_engines(self, rng):
         """The Listing 1 bug must be caught by the batched detector too."""
@@ -234,32 +344,17 @@ class TestRaceInjection:
         assert "data race" in vec_launches[0].races[0].describe()
 
     def test_scatter_to_same_offset_races(self, device_vectorized):
-        def ref(ctx, out):
-            ctx.store(out, 0, float(ctx.threadIdx.x))
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
-            ctx.store(out, 0, ctx.threadIdx.x.astype(np.float64))
+        def kernel(ctx, out):
+            ctx.store(out, 0, ctx.threadIdx.x * 1.0)
 
         buf = device_vectorized.malloc((4,))
-        launch = device_vectorized.launch(ref, grid_dim=(1,), block_dim=(8,), args=(buf,))
+        launch = device_vectorized.launch(kernel, grid_dim=(1,), block_dim=(8,), args=(buf,))
         assert launch.races
 
     def test_write_beyond_first_lanes_still_detected(self):
         """A single write hidden behind >256 reads at one location must be found."""
 
-        def ref(ctx, out):
-            sh = ctx.shared("s", (1,))
-            ctx.load(sh, 0)
-            if ctx.threadIdx.x == 300:
-                ctx.store(sh, 0, 1.0)
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
+        def kernel(ctx, out):
             sh = ctx.shared("s", (1,))
             ctx.load(sh, 0)
             ctx.store(sh, 0, 1.0, where=ctx.threadIdx.x == 300)
@@ -268,7 +363,7 @@ class TestRaceInjection:
         for mode in ("reference", "vectorized"):
             device = GpuDevice(execution_mode=mode)
             buf = device.malloc((1,))
-            launch = device.launch(ref, grid_dim=(1,), block_dim=(1024,), args=(buf,))
+            launch = device.launch(kernel, grid_dim=(1,), block_dim=(1024,), args=(buf,))
             counts[mode] = len(launch.races)
         assert counts["reference"] == counts["vectorized"] == 1
 
@@ -288,21 +383,13 @@ class TestRaceInjection:
     def test_epoch_separation_suppresses_race(self, device_vectorized):
         """A write and a read separated by ctx.sync() must not race."""
 
-        def ref(ctx, out):
-            if ctx.threadIdx.x == 0:
-                ctx.store(out, 0, 1.0)
-            yield
-            if ctx.threadIdx.x == 1:
-                ctx.load(out, 0)
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
+        def kernel(ctx, out):
             ctx.store(out, 0, 1.0, where=ctx.threadIdx.x == 0)
-            ctx.sync()
+            yield
             ctx.load(out, 0, where=ctx.threadIdx.x == 1)
 
         buf = device_vectorized.malloc((1,), label="flag")
-        launch = device_vectorized.launch(ref, grid_dim=(1,), block_dim=(4,), args=(buf,))
+        launch = device_vectorized.launch(kernel, grid_dim=(1,), block_dim=(4,), args=(buf,))
         assert not launch.races
 
 
@@ -551,7 +638,7 @@ class TestEngineSelection:
             get_engine("simd")
 
     def test_unported_branching_kernel_raises(self, device_vectorized):
-        """Threads that branch on their own index cannot run in lockstep."""
+        """A plain ``if`` on a thread's own index cannot run in lockstep."""
 
         def branching_kernel(ctx, out):
             if ctx.threadIdx.x == 0:
@@ -573,103 +660,59 @@ class TestEngineSelection:
         assert np.array_equal(device.to_host(buf), data * 2.0)
         assert device.launch_log[-1].execution_mode == "vectorized"
 
-    def test_resolution_is_symmetric(self):
-        vec = resolve_vectorized(reduce.block_reduce_kernel)
-        assert vec is reduce.block_reduce_kernel_vec
-        assert resolve_reference(vec) is reduce.block_reduce_kernel
-        assert resolve_vectorized(vec) is vec
-        assert resolve_vectorized(vector.scale_vec_kernel) is None
-
-    def test_vectorized_kernel_runs_under_reference_engine(self, device, rng):
-        """Passing the masked port still runs the per-thread kernel in reference mode."""
-        data = rng.random(256)
-        buf = device.to_device(data)
-        out = device.malloc((4,))
-        launch = device.launch(
-            reduce.block_reduce_kernel_vec, grid_dim=(4,), block_dim=(64,), args=(buf, out)
-        )
-        assert launch.execution_mode == "reference"
-        assert np.allclose(device.to_host(out), data.reshape(4, 64).sum(axis=1))
-
 
 class TestVecCtxSemantics:
-    def test_masked_out_of_bounds_lanes_are_not_accesses(self, device_vectorized):
+    def test_masked_out_of_bounds_lanes_are_not_accesses(self):
         """Inactive lanes may hold out-of-range offsets (like reduce's tid+stride)."""
 
-        def ref(ctx, buf):
-            if ctx.threadIdx.x < 2:
-                ctx.load(buf, ctx.threadIdx.x)
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, buf):
+        def kernel(ctx, buf):
             tid = ctx.threadIdx.x
             ctx.load(buf, tid * 1000, where=tid < 2)  # lanes >= 2 out of range
 
-        buf = device_vectorized.malloc((2000,))
-        device_vectorized.launch(ref, grid_dim=(1,), block_dim=(8,), args=(buf,))
+        def run(device, _):
+            buf = device.malloc((2000,))
+            launch = device.launch(kernel, grid_dim=(1,), block_dim=(8,), args=(buf,))
+            return device.to_host(buf), [launch]
+
+        ref_launches, _ = assert_parity(run_both(run, None))
+        assert ref_launches[0].cost.global_accesses == 2
 
     def test_unmasked_out_of_bounds_raises(self, device_vectorized):
-        def ref(ctx, buf):
-            ctx.load(buf, ctx.threadIdx.x)
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, buf):
+        def kernel(ctx, buf):
             ctx.load(buf, ctx.threadIdx.x + 100)
 
         buf = device_vectorized.malloc((8,))
         with pytest.raises(DeviceMemoryError):
-            device_vectorized.launch(ref, grid_dim=(1,), block_dim=(8,), args=(buf,))
+            device_vectorized.launch(kernel, grid_dim=(1,), block_dim=(8,), args=(buf,))
 
     def test_shared_memory_is_per_block(self, device_vectorized):
         """Each block sees its own copy of a shared buffer."""
 
-        def ref(ctx, out):
+        def kernel(ctx, out):
             sh = ctx.shared("s", (1,))
-            if ctx.threadIdx.x == 0:
-                ctx.store(sh, 0, float(ctx.blockIdx.x))
+            ctx.store(sh, 0, ctx.blockIdx.x * 1.0, where=ctx.threadIdx.x == 0)
             yield
-            if ctx.threadIdx.x == 1:
-                ctx.store(out, ctx.blockIdx.x, ctx.load(sh, 0))
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
-            sh = ctx.shared("s", (1,))
-            first = ctx.threadIdx.x == 0
-            ctx.store(sh, 0, ctx.blockIdx.x.astype(np.float64), where=first)
-            ctx.sync()
             second = ctx.threadIdx.x == 1
             ctx.store(out, ctx.blockIdx.x, ctx.load(sh, 0, where=second), where=second)
 
         out = device_vectorized.malloc((4,))
-        launch = device_vectorized.launch(ref, grid_dim=(4,), block_dim=(2,), args=(out,))
+        launch = device_vectorized.launch(kernel, grid_dim=(4,), block_dim=(2,), args=(out,))
         assert np.array_equal(device_vectorized.to_host(out), np.arange(4, dtype=np.float64))
         assert not launch.races
 
     def test_local_memory_parity(self, rng):
         """ctx.local gives each thread a private row; cost folds into arithmetic."""
 
-        def ref(ctx, out):
+        def kernel(ctx, out):
             scratch = ctx.local((2,))
-            ctx.store(scratch, 0, float(ctx.threadIdx.x))
-            ctx.store(out, ctx.global_thread_id, ctx.load(scratch, 0) * 2.0)
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
-            scratch = ctx.local((2,))
-            ctx.store(scratch, 0, ctx.threadIdx.x.astype(np.float64))
+            ctx.store(scratch, 0, ctx.threadIdx.x * 1.0)
             ctx.store(out, ctx.global_thread_id, ctx.load(scratch, 0) * 2.0)
 
         results = {}
         for mode in ("reference", "vectorized"):
             device = GpuDevice(execution_mode=mode)
             out = device.malloc((8,))
-            launch = device.launch(ref, grid_dim=(2,), block_dim=(4,), args=(out,))
+            launch = device.launch(kernel, grid_dim=(2,), block_dim=(4,), args=(out,))
             results[mode] = (device.to_host(out), launch)
         ref_out, ref_launch = results["reference"]
         vec_out, vec_launch = results["vectorized"]
@@ -682,23 +725,14 @@ class TestVecCtxSemantics:
     def test_local_memory_masked_lanes(self, device_vectorized):
         """Masked lanes neither touch their private row nor advance their slot."""
 
-        def ref(ctx, out):
-            scratch = ctx.local((1,))
-            if ctx.threadIdx.x < 2:
-                ctx.store(scratch, 0, 1.0)
-                ctx.store(out, ctx.threadIdx.x, ctx.load(scratch, 0))
-            return
-            yield
-
-        @vectorized_impl(ref)
-        def vec(ctx, out):
+        def kernel(ctx, out):
             scratch = ctx.local((1,))
             active = ctx.threadIdx.x < 2
             ctx.store(scratch, 0, 1.0, where=active)
             ctx.store(out, ctx.threadIdx.x, ctx.load(scratch, 0, where=active), where=active)
 
         out = device_vectorized.malloc((4,))
-        launch = device_vectorized.launch(ref, grid_dim=(1,), block_dim=(4,), args=(out,))
+        launch = device_vectorized.launch(kernel, grid_dim=(1,), block_dim=(4,), args=(out,))
         assert np.array_equal(device_vectorized.to_host(out), [1.0, 1.0, 0.0, 0.0])
         assert not launch.races
 

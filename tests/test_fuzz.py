@@ -19,16 +19,12 @@ Covers the tentpole guarantees of PR 9:
 import json
 from dataclasses import replace as dc_replace
 
-import numpy as np
-import pytest
-
 from repro.cli import main as cli_main
 from repro.descend.plan import optimize as opt_mod
 from repro.descend.store import ArtifactStore
 from repro.fuzz import (
     MUTATIONS,
     build_program,
-    check_spec,
     run_fuzz,
     run_replay,
     shrink_spec,

@@ -9,7 +9,7 @@ from repro.errors import (
     DeviceMemoryError,
     LaunchConfigurationError,
 )
-from repro.gpusim import CostModel, CostParameters, GpuDevice
+from repro.gpusim import CostModel, CostParameters
 from repro.gpusim.buffer import DeviceBuffer, HostBuffer
 from repro.gpusim.cost import MemoryAccess
 from repro.gpusim.device import CopyDirection

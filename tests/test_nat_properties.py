@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.descend.nat import NatBinOp, NatConst, NatError, NatVar, nat_equal, normalize
+from repro.descend.nat import NatBinOp, NatConst, NatVar, nat_equal, normalize
 
 _VAR_NAMES = ("n", "m", "k")
 

@@ -511,6 +511,33 @@ class TestCacheCli:
         assert "store hits" in err
         assert out_warm.read_bytes() == out_cold.read_bytes()
 
+    def test_warm_cli_compile_skips_the_code_generator(self, tmp_path):
+        """Unpickling the stored CUDA module imports no part of the generator."""
+        repo = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print('modules:', *sorted(m for m in sys.modules if m.startswith('repro.descend.codegen')))\n"
+            "sys.exit(status)\n"
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_STORE", None)
+        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        loaded = []
+        for run in ("cold", "warm"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "compile", str(repo / "examples" / "scale_vec.descend"),
+                 "--store", str(tmp_path / "store"), "-o", str(tmp_path / f"{run}.cu")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(proc.stdout.splitlines()[-1].split()[1:])
+        cold, warm = loaded
+        assert "repro.descend.codegen.kernel_gen" in cold
+        assert warm == []
+        assert (tmp_path / "warm.cu").read_bytes() == (tmp_path / "cold.cu").read_bytes()
+
 
 class TestUnsupportedPlanPersistence:
     def test_fallback_reason_persists_without_relowering(self, tmp_path):

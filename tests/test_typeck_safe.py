@@ -1,7 +1,5 @@
 """The type checker accepts the paper's (safe) programs."""
 
-import pytest
-
 from repro.descend.builder import *
 from repro.descend.typeck import check_program
 from repro.descend_programs import matmul, reduce, scan, transpose, vector

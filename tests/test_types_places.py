@@ -14,7 +14,6 @@ from repro.descend.ast.types import (
     I32,
     RefType,
     TupleType,
-    UNIT,
     array,
     array2d,
     assignable,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.descend.ast.views import ViewRef
-from repro.descend.nat import NatConst, as_nat
+from repro.descend.nat import NatConst
 from repro.descend.views.indexing import LogicalArray, LogicalPair, bind_view
 from repro.descend.views.registry import ViewError, default_registry, resolve_view
 

@@ -2,7 +2,7 @@
 
 * :mod:`repro.benchsuite.workloads` — benchmark/size definitions (small,
   medium, large — scaled-down versions of the paper's 256 MB / 512 MB / 1 GB
-  footprints, enlarged by ``scale`` / the ``--scale`` CLI flag),
+  footprints, enlarged by ``scale`` / the ``--scale``/``--scales`` CLI flags),
 * :mod:`repro.benchsuite.runner` — runs one benchmark in its CUDA-lite
   (handwritten) and Descend (generated) variants and verifies both results,
 * :mod:`repro.benchsuite.figure8` — the Figure 8 table: relative median

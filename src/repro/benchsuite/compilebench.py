@@ -113,8 +113,6 @@ class CompileBenchResult:
 
     rows: List[CompileBenchRow] = field(default_factory=list)
     kind: str = "compile-time-bench"
-    #: Generated-source launch micro-benchmark (see :func:`bench_dispatch`).
-    dispatch_micro: Dict[str, object] = field(default_factory=dict)
 
     @property
     def geometric_mean_speedup(self) -> float:
@@ -130,16 +128,13 @@ class CompileBenchResult:
         return min(row.speedup for row in self.rows)
 
     def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "kind": self.kind,
             "programs": [row.as_dict() for row in self.rows],
             "geometric_mean_speedup": json_number(self.geometric_mean_speedup),
             "min_speedup": json_number(self.min_speedup),
             "total_plan_bytes": sum(row.plan_bytes for row in self.rows),
         }
-        if self.dispatch_micro:
-            payload["dispatch_micro"] = dict(self.dispatch_micro)
-        return payload
 
     def to_table(self) -> str:
         table = format_table(
@@ -160,18 +155,11 @@ class CompileBenchResult:
                 for row in self.rows
             ],
         )
-        text = (
+        return (
             table
             + f"\n\ngeometric mean cached-compile speedup: {self.geometric_mean_speedup:.0f}x"
             + f" (min {self.min_speedup:.0f}x); diagnostics and CUDA byte-identical cold vs cached"
         )
-        if self.dispatch_micro:
-            text += (
-                f"\nplan-source dispatch micro ({self.dispatch_micro.get('program', '?')}):"
-                f" {self.dispatch_micro.get('wall_s', 0.0) * 1e3:.2f} ms/launch best of"
-                f" {int(self.dispatch_micro.get('repeats', 0))}"
-            )
-        return text
 
 
 def _digest(text: str) -> str:
@@ -283,43 +271,6 @@ def _measure_plan_serialization(
     return plan_bytes, (best if blobs else 0.0)
 
 
-def bench_dispatch(repeats: int = 3) -> Dict[str, object]:
-    """Micro-benchmark one launch of a plan's generated source.
-
-    Launches the matmul workload — the most op-dense Figure 8 program (its
-    inner product runs a ``for-nat`` body per tile element) — on the
-    vectorized engine with race detection off and a warm plan-source cache,
-    so the wall-clock concentrates on the generated code's slot traffic and
-    runtime-helper calls plus the cost accounting every launch shares.  The
-    report keeps the historical ``dispatch_micro`` field name.
-    """
-    import numpy as np
-
-    from repro.descend.api import compile_program
-    from repro.gpusim.device import GpuDevice
-
-    program = PROGRAMS["matmul"]()
-    compiled = compile_program(program)
-    fun = compiled.gpu_function_names()[0]
-    compiled.plan_source(fun)  # warm: the timed region measures execution only
-    params = {p.name: p for p in program.fun(fun).params}
-    m = k = n = 32  # matches the PROGRAMS matmul parameters
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        device = GpuDevice(detect_races=False)
-        buffers = {
-            "a": device.to_device(np.ones((m, k)), label="a"),
-            "b": device.to_device(np.ones((k, n)), label="b"),
-            "c": device.malloc((m, n), dtype=np.float64, label="c"),
-        }
-        assert set(buffers) == set(params), sorted(params)
-        kernel = compiled.kernel(fun)
-        start = time.perf_counter()
-        kernel.launch(device, buffers, execution_mode="vectorized")
-        best = min(best, time.perf_counter() - start)
-    return {"program": "matmul", "wall_s": best, "repeats": float(max(1, repeats))}
-
-
 def run_compile_bench(
     programs: Sequence[str] = tuple(PROGRAMS),
     repeats: int = 3,
@@ -334,7 +285,4 @@ def run_compile_bench(
         if progress is not None:
             progress(f"compiling {name} (cold + cached, best of {repeats}) ...")
         result.rows.append(bench_program(name, repeats=repeats))
-    if progress is not None:
-        progress("plan-source dispatch micro-benchmark ...")
-    result.dispatch_micro = bench_dispatch(repeats=repeats)
     return result

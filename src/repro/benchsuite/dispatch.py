@@ -1,7 +1,7 @@
 """Parallel bench sweeps: pull-based work stealing over TCP.
 
 A benchsuite sweep is a list of independent cells — one ``(variant,
-benchmark, size, scale)`` workload measured on every execution engine.
+benchmark, size, scale)`` workload measured on both bench engines.
 Serial execution (:mod:`repro.benchsuite.enginebench`) is the default and
 the parity oracle; ``descendc bench --jobs N`` runs the same cells through
 this module.  A :class:`SweepCoordinator` listens on a TCP port and hands

@@ -1,7 +1,7 @@
 """Engine benchmark: reference vs vectorized on the Figure 8 workloads.
 
-Running ``descendc bench`` executes every selected Figure 8 workload
-twice — once per execution engine — and reports
+Running ``descendc bench`` executes every selected workload twice — once
+per execution engine — and reports
 
 * the simulated kernel cycles of both engines (they must be *identical*;
   a mismatch aborts with :class:`BenchmarkError`, which is the regression
@@ -9,17 +9,14 @@ twice — once per execution engine — and reports
 * the wall-clock time of running the simulator itself, plus the resulting
   speedup of the vectorized engine.
 
-Two variants are covered: the handwritten CUDA-lite kernels (the default)
-and, with ``--descend``, the Descend programs executed through the
-device-plan compiler (:mod:`repro.descend.plan`).  The Descend variant additionally
-sweeps workload *scales* (``--scales 1 4``) to record the interpreter's
-scaling headroom, and runs a third column — the ``jit`` engine, which
-executes the generated straight-line source of the
-``lower.plan.codegen`` pass — under the same exact-parity oracle; its
-report is written to ``BENCH_descend_engine.json``.  Every engine run
-goes through :func:`~repro.benchsuite.runner.run_variant`, which also
-rejects a wrong result, a data race, or a launch that ran on another
-engine.
+Two variants run through the one sweep, :func:`run_engine_bench`: the
+handwritten CUDA-lite kernels (the default) and, with ``--descend``, the
+Descend programs executed through the device-plan compiler
+(:mod:`repro.descend.plan`).  A sweep is a list of ``(size, scale)`` rows,
+each run over the selected benchmarks, and the reference column of every
+row is budget-guarded.  Every engine run goes through
+:func:`~repro.benchsuite.runner.run_variant`, which also rejects a wrong
+result, a data race, or a launch that ran on another engine.
 
 The JSON reports (``BENCH_*.json``) are uploaded as CI artifacts by the
 bench-smoke job so the speedup trajectory accumulates over time.
@@ -44,12 +41,6 @@ from repro.errors import BenchmarkError
 #: :data:`BENCHMARKS` rows so the checked-in trajectory stays comparable.
 DESCEND_BENCHMARKS = BENCHMARKS + ("histogram", "stencil")
 
-#: Sizes benchmarked by default and by the CI smoke job (``--quick``).
-DEFAULT_SIZES = ("small", "medium")
-QUICK_SIZES = ("small",)
-#: Scales swept by the Descend engine benchmark (and its ``--quick`` subset).
-DESCEND_SCALES = (1, 4, 8)
-QUICK_DESCEND_SCALES = (1,)
 #: The default ``(size, scale)`` rows of the Descend engine benchmark: the
 #: small footprint across all scales (16 included), plus the medium and
 #: large rows at scale 8.  The biggest rows are only feasible because the
@@ -64,7 +55,12 @@ DESCEND_ROWS = (
     ("medium", 8),
     ("large", 8),
 )
-QUICK_DESCEND_ROWS = (("small", 1),)
+#: Each variant's default benchmarks and rows, and its report ``kind``.
+DEFAULT_BENCHMARKS = {"cudalite": BENCHMARKS, "descend": DESCEND_BENCHMARKS}
+DEFAULT_ROWS = {"cudalite": (("small", 1), ("medium", 1)), "descend": DESCEND_ROWS}
+REPORT_KINDS = {"cudalite": "engine-bench", "descend": "descend-engine-bench"}
+#: The CI smoke subset (``--quick``) of either variant.
+QUICK_ROWS = (("small", 1),)
 
 #: Conservative upper estimate of the reference interpreter's wall-clock per
 #: simulated cycle (the checked-in trajectory measures 130–300 µs/cycle).
@@ -72,8 +68,8 @@ QUICK_DESCEND_ROWS = (("small", 1),)
 #: engines share exactly — so the skip decision is deterministic and
 #: identical between serial and parallel sweeps.
 REF_SECONDS_PER_CYCLE = 3e-4
-#: Default per-row budget (seconds) for the reference-engine column of the
-#: Descend sweep; override with ``--budget``.
+#: Default per-row budget (seconds) for the reference-engine column;
+#: override with ``--budget``.
 DEFAULT_REF_BUDGET_S = 600.0
 
 
@@ -103,9 +99,6 @@ class EngineBenchRow:
     scale: int = 1
     skipped: Optional[str] = None
     retries: int = 0
-    #: Measured for the Descend variant only; ``None`` elsewhere.
-    jit_cycles: Optional[float] = None
-    jit_wall_s: Optional[float] = None
     #: Which process measured this row — ``hostname:pid``, stamped by
     #: :func:`compare_engines` so serial rows and rows from local or remote
     #: sweep workers are all attributable in the merged report.
@@ -118,27 +111,12 @@ class EngineBenchRow:
         return self.reference_cycles == self.vectorized_cycles
 
     @property
-    def jit_cycles_match(self) -> Optional[bool]:
-        if self.jit_cycles is None:
-            return None
-        return self.jit_cycles == self.vectorized_cycles
-
-    @property
     def speedup(self) -> Optional[float]:
         if self.reference_wall_s is None:
             return None
         if self.vectorized_wall_s == 0:
             return float("inf")
         return self.reference_wall_s / self.vectorized_wall_s
-
-    @property
-    def jit_speedup(self) -> Optional[float]:
-        """The jit engine's speedup over the *vectorized* engine."""
-        if self.jit_wall_s is None:
-            return None
-        if self.jit_wall_s == 0:
-            return float("inf")
-        return self.vectorized_wall_s / self.jit_wall_s
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -148,14 +126,10 @@ class EngineBenchRow:
             "scale": self.scale,
             "reference_cycles": self.reference_cycles,
             "vectorized_cycles": self.vectorized_cycles,
-            "jit_cycles": self.jit_cycles,
             "cycles_match": self.cycles_match,
-            "jit_cycles_match": self.jit_cycles_match,
             "reference_wall_s": self.reference_wall_s,
             "vectorized_wall_s": self.vectorized_wall_s,
-            "jit_wall_s": self.jit_wall_s,
             "speedup": json_number(self.speedup),
-            "jit_speedup": json_number(self.jit_speedup),
             "footprint_bytes": self.footprint_bytes,
             "skipped": self.skipped,
             "retries": self.retries,
@@ -183,8 +157,6 @@ class EngineBenchRow:
             scale=int(payload.get("scale", 1)),  # type: ignore[arg-type]
             skipped=payload.get("skipped"),  # type: ignore[arg-type]
             retries=int(payload.get("retries", 0)),  # type: ignore[arg-type]
-            jit_cycles=payload.get("jit_cycles"),  # type: ignore[arg-type]
-            jit_wall_s=payload.get("jit_wall_s"),  # type: ignore[arg-type]
             host=str(payload.get("host", "")),
         )
 
@@ -210,29 +182,11 @@ class EngineBenchResult:
 
     @property
     def all_cycles_match(self) -> bool:
-        return all(row.cycles_match for row in self.measured_rows) and all(
-            row.jit_cycles_match in (None, True) for row in self.rows
-        )
+        return all(row.cycles_match for row in self.measured_rows)
 
     @property
     def geometric_mean_speedup(self) -> float:
         speedups = [row.speedup for row in self.measured_rows if row.speedup > 0]
-        if not speedups:
-            return float("nan")
-        return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-
-    @property
-    def geometric_mean_jit_speedup(self) -> float:
-        """Geomean of the jit engine's speedup over the vectorized engine.
-
-        Budget-skipped rows still count: the jit column never depends on the
-        reference run, and the biggest rows are exactly where it matters.
-        """
-        speedups = [
-            row.jit_speedup
-            for row in self.rows
-            if row.jit_speedup is not None and row.jit_speedup > 0
-        ]
         if not speedups:
             return float("nan")
         return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -252,18 +206,15 @@ class EngineBenchResult:
             "workloads": [row.as_dict() for row in self.rows],
             "all_cycles_match": self.all_cycles_match,
             "geometric_mean_speedup": json_number(self.geometric_mean_speedup),
-            "geometric_mean_jit_speedup": json_number(self.geometric_mean_jit_speedup),
             "min_speedup": json_number(self.min_speedup),
             "skipped_rows": sum(1 for row in self.rows if row.skipped is not None),
             "compile_passes": self.compile_passes,
         }
 
     def to_table(self) -> str:
-        has_jit = any(row.jit_wall_s is not None for row in self.rows)
         table = format_table(
             ["variant", "benchmark", "size", "scale", "footprint", "cycles", "parity",
-             "ref wall", "vec wall", "speedup"]
-            + (["jit wall", "jit x"] if has_jit else []),
+             "ref wall", "vec wall", "speedup"],
             [
                 (
                     row.variant,
@@ -279,29 +230,15 @@ class EngineBenchResult:
                     f"{row.vectorized_wall_s * 1e3:.1f} ms",
                     f"{row.speedup:.1f}x" if row.skipped is None else "—",
                 )
-                + (
-                    (
-                        f"{row.jit_wall_s * 1e3:.1f} ms" if row.jit_wall_s is not None else "—",
-                        f"{row.jit_speedup:.1f}x" if row.jit_speedup is not None else "—",
-                    )
-                    if has_jit
-                    else ()
-                )
                 for row in self.rows
             ],
         )
-        summary = (
+        return (
             table
             + f"\n\ngeometric mean speedup: {self.geometric_mean_speedup:.1f}x"
             + f" (min {self.min_speedup:.1f}x); cycle parity: "
             + ("exact for every workload" if self.all_cycles_match else "VIOLATED")
         )
-        if has_jit:
-            summary += (
-                f"\ngeometric mean jit speedup over vectorized: "
-                f"{self.geometric_mean_jit_speedup:.1f}x"
-            )
-        return summary
 
 
 def host_label() -> str:
@@ -346,17 +283,6 @@ def compare_engines(
         # later runs then get from the cache.
         precompile_descend(benchmark, workload_.params)
     vec = run_variant(variant, workload_, data, reference, "vectorized", repeats)
-    jit = None
-    if variant == "descend":
-        # The jit column never depends on the reference run, so it is
-        # measured even on budget-skipped rows — the biggest rows are
-        # exactly where codegen pays off.
-        jit = run_variant(variant, workload_, data, reference, "jit", repeats)
-        if jit.cycles != vec.cycles:
-            raise BenchmarkError(
-                f"cycle-count parity violated for {workload_.label} ({variant}): "
-                f"jit={jit.cycles} vectorized={vec.cycles}"
-            )
     ref = None
     if budget_s is None or estimate_reference_wall_s(vec.cycles) <= budget_s:
         ref = run_variant(variant, workload_, data, reference, "reference", repeats)
@@ -371,8 +297,6 @@ def compare_engines(
         variant=variant,
         scale=scale_factor(scale),
         skipped="budget" if ref is None else None,
-        jit_cycles=jit.cycles if jit is not None else None,
-        jit_wall_s=jit.wall_s if jit is not None else None,
         host=host_label(),
     )
     if ref is not None and not row.cycles_match:
@@ -380,37 +304,45 @@ def compare_engines(
             f"cycle-count parity violated for {workload_.label} ({variant}): "
             f"reference={ref.cycles} vectorized={vec.cycles}"
         )
-    engine_runs = 1 + (jit is not None) + (ref is not None)
-    _emulate_device_wait(vec.cycles, engine_runs, device_s_per_cycle)
+    if device_s_per_cycle is not None and device_s_per_cycle > 0:
+        engine_runs = 1 + (ref is not None)
+        time.sleep(vec.cycles * engine_runs * device_s_per_cycle)
     return row
 
 
-def _emulate_device_wait(
-    cycles: float, engine_runs: int, device_s_per_cycle: Optional[float]
-) -> None:
-    """Model the wall-clock of a device executing the measured kernels."""
-    if device_s_per_cycle is not None and device_s_per_cycle > 0:
-        time.sleep(cycles * engine_runs * device_s_per_cycle)
-
-
-def _run_sweep(
+def run_engine_bench(
     variant: str,
-    specs: Sequence[Tuple[str, str, Optional[int]]],
-    kind: str,
-    repeats: int,
-    budget_s: Optional[float],
-    jobs: int,
-    store_path: Optional[str],
-    progress,
+    benchmarks: Optional[Sequence[str]] = None,
+    rows: Optional[Sequence[Tuple[str, int]]] = None,
+    repeats: int = 1,
+    budget_s: Optional[float] = None,
+    jobs: int = 1,
+    store_path: Optional[str] = None,
+    progress=None,
 ) -> EngineBenchResult:
-    """Run a sweep's cells serially or across ``jobs`` worker processes.
+    """Benchmark ``variant``'s workloads on both engines, row by row.
 
-    The serial path is the default and the parity oracle; the parallel path
-    (:func:`repro.benchsuite.dispatch.dispatch_cells`) merges the workers'
-    rows back into sweep order, so both produce identical reports modulo
-    the timing fields.
+    The sweep is a list of ``(size, scale)`` rows, each run over every one
+    of ``benchmarks``; both default to the variant's
+    (:data:`DEFAULT_BENCHMARKS`, :data:`DEFAULT_ROWS`).  Cycle parity is
+    asserted per workload.  ``budget_s`` (default:
+    :data:`DEFAULT_REF_BUDGET_S`) caps the per-row reference-engine
+    wall-clock; over-budget rows keep their vectorized column and record
+    ``"skipped": "budget"``.
+
+    The serial path is the default and the parity oracle.  ``jobs > 1``
+    dispatches the rows to worker processes
+    (:func:`repro.benchsuite.dispatch.dispatch_cells`), each warming from
+    the shared artifact store at ``store_path`` (a directory or a store URL)
+    if one is given, and merges their rows back into sweep order, so both
+    paths produce identical reports modulo the timing fields.
     """
-    result = EngineBenchResult(kind=kind)
+    benchmarks = benchmarks or DEFAULT_BENCHMARKS[variant]
+    rows = rows or DEFAULT_ROWS[variant]
+    if budget_s is None:
+        budget_s = DEFAULT_REF_BUDGET_S
+    specs = [(benchmark, size, scale) for size, scale in rows for benchmark in benchmarks]
+    result = EngineBenchResult(kind=REPORT_KINDS[variant])
     if jobs > 1:
         from repro.benchsuite.dispatch import dispatch_cells, make_cells
 
@@ -464,67 +396,3 @@ def _run_sweep(
     else:
         run_serial()
     return result
-
-
-def run_engine_bench(
-    benchmarks: Sequence[str] = BENCHMARKS,
-    sizes: Sequence[str] = DEFAULT_SIZES,
-    repeats: int = 1,
-    progress=None,
-    scale: Optional[int] = None,
-    jobs: int = 1,
-    store_path: Optional[str] = None,
-) -> EngineBenchResult:
-    """Benchmark every selected workload on both engines (CUDA-lite kernels)."""
-    specs = [(benchmark, size, scale) for benchmark in benchmarks for size in sizes]
-    return _run_sweep(
-        "cudalite", specs, "engine-bench", repeats, None, jobs, store_path, progress
-    )
-
-
-def run_descend_engine_bench(
-    benchmarks: Sequence[str] = DESCEND_BENCHMARKS,
-    sizes: Optional[Sequence[str]] = None,
-    scales: Optional[Sequence[int]] = None,
-    rows: Optional[Sequence[Tuple[str, int]]] = None,
-    repeats: int = 1,
-    progress=None,
-    budget_s: Optional[float] = None,
-    jobs: int = 1,
-    store_path: Optional[str] = None,
-) -> EngineBenchResult:
-    """Benchmark the Descend programs on both engines across workload scales.
-
-    This is the perf trajectory for the interpreter's device-plan backend:
-    cycle parity is asserted per workload, and the wall-clock columns record
-    how far the workload scale can be pushed now that the sweep is vectorized
-    and workloads compile once per sweep.  The sweep is a list of
-    ``(size, scale)`` rows: pass ``rows`` directly, or ``sizes`` / ``scales``
-    to take their cartesian product; the default is :data:`DESCEND_ROWS`.
-
-    ``budget_s`` (default: :data:`DEFAULT_REF_BUDGET_S`) caps the per-row
-    reference-engine wall-clock; over-budget rows keep their vectorized
-    column and record ``"skipped": "budget"``.  ``jobs > 1`` dispatches the
-    rows to worker processes, each warming from the shared artifact store
-    at ``store_path`` (a directory or a store URL) if one is given.
-    """
-    if rows is None:
-        if sizes is None and scales is None:
-            rows = DESCEND_ROWS
-        else:
-            rows = tuple(
-                (size, scale)
-                for scale in (scales if scales is not None else DESCEND_SCALES)
-                for size in (sizes if sizes is not None else QUICK_SIZES)
-            )
-    if budget_s is None:
-        budget_s = DEFAULT_REF_BUDGET_S
-    specs = [
-        (benchmark, size, scale)
-        for size, scale in rows
-        for benchmark in benchmarks
-    ]
-    return _run_sweep(
-        "descend", specs, "descend-engine-bench", repeats, budget_s, jobs,
-        store_path, progress,
-    )

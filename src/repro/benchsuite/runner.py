@@ -420,9 +420,9 @@ def run_benchmark_pair(
 
     ``engine`` selects the execution engine for *both* sides.  On the
     lockstep engines (``"vectorized"`` and ``"jit"``, one runner under two
-    names) the CUDA-lite kernels run as written or as their masked ports,
-    and the Descend programs run the generated source of the device-plan
-    compiler (:mod:`repro.descend.plan`).  Because every engine produces
+    names) the CUDA-lite kernels run as written, and the Descend programs
+    run the generated source of the device-plan compiler
+    (:mod:`repro.descend.plan`).  Because every engine produces
     identical cycle counts, the Figure 8 ratios are engine-independent —
     the lockstep engines just regenerate them much faster.  ``scale``
     enlarges the workload footprint.

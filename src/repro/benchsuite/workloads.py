@@ -6,7 +6,8 @@ scan, matrix multiplication) at three memory footprints (256 MB, 512 MB and
 the default footprints here are scaled down; the *relative* runtimes that
 Figure 8 reports are footprint-independent under the simulator's cost model
 (EXPERIMENTS.md records the scaling).  Pass an integer ``scale`` (the
-``--scale`` CLI flag) to enlarge every workload.
+``figure8 --scale`` and ``bench --scales`` CLI flags) to enlarge every
+workload.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ SIZES: Tuple[str, ...] = ("small", "medium", "large")
 
 
 def scale_factor(scale: Optional[int] = None) -> int:
-    """Resolve the workload scale factor (the ``--scale`` CLI flag).
+    """Resolve the workload scale factor (the CLI's ``--scale``/``--scales``).
 
     ``None`` and invalid values fall back to 1.
     """

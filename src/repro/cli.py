@@ -38,14 +38,14 @@ Sub-commands:
 ``descendc bench [--quick] [--descend] [--compile] [--serve] [--jobs N]``
     Benchmark the reference vs the warp-vectorized execution engine on the
     Figure 8 workloads (CUDA-lite kernels by default, the Descend programs
-    through the device-plan compiler with ``--descend``), assert cycle-count
-    parity, and write a ``BENCH_*.json`` report (the CI bench-smoke
-    artifacts).  ``--jobs N`` dispatches the sweep to N pull-based worker
-    processes (serial stays the default and the parity oracle); ``--compile``
-    benchmarks the *compiler* instead (``BENCH_compile_time.json``);
-    ``--serve`` load-tests the compile-service daemon
-    (``BENCH_serve_throughput.json``: requests/s, p50/p99, cold vs warm
-    store).
+    through the device-plan compiler with ``--descend``), one row per
+    ``--sizes`` x ``--scales`` pair, assert cycle-count parity, and write a
+    ``BENCH_*.json`` report (the CI bench-smoke artifacts).  ``--jobs N``
+    dispatches the sweep to N pull-based worker processes (serial stays the
+    default and the parity oracle); ``--compile`` benchmarks the *compiler*
+    instead (``BENCH_compile_time.json``); ``--serve`` load-tests the
+    compile-service daemon (``BENCH_serve_throughput.json``: requests/s,
+    p50/p99, cold vs warm store).
 
 ``descendc fuzz [--seed N] [--count N] [--max-dims N] [--replay]``
     Run the seed-driven differential fuzzer: generated Descend programs
@@ -388,7 +388,7 @@ def cmd_figure8(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     workload_flags = (
         args.descend or args.benchmarks or args.sizes or args.scales
-        or args.scale is not None or args.jobs is not None or args.budget is not None
+        or args.jobs is not None or args.budget is not None
     )
     if args.compile and args.serve:
         print("error: --compile and --serve are mutually exclusive", file=sys.stderr)
@@ -396,8 +396,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.compile and workload_flags:
         print(
             "error: --compile benchmarks the compiler itself and does not take "
-            "workload flags (--descend/--benchmarks/--sizes/--scales/--scale/"
-            "--jobs/--budget); combine it only with --quick/--repeats/--output/--json",
+            "workload flags (--descend/--benchmarks/--sizes/--scales/--jobs/"
+            "--budget); combine it only with --quick/--repeats/--output/--json",
             file=sys.stderr,
         )
         return 2
@@ -405,7 +405,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(
             "error: --serve load-tests the compile-service daemon and does not "
             "take workload flags (--descend/--benchmarks/--sizes/--scales/"
-            "--scale/--jobs/--budget); combine it only with "
+            "--jobs/--budget); combine it only with "
             "--quick/--requests/--clients/--output/--json",
             file=sys.stderr,
         )
@@ -433,53 +433,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     from repro.benchsuite import enginebench
-    from repro.benchsuite.workloads import BENCHMARKS, SIZES
+    from repro.benchsuite.workloads import SIZES
 
     if _bad_choice("--benchmarks", args.benchmarks, enginebench.DESCEND_BENCHMARKS) or _bad_choice(
         "--sizes", args.sizes, SIZES
     ):
         return 2
-    if args.scales and not args.descend:
-        print(
-            "error: --scales applies to the Descend variant; use --scale with the "
-            "CUDA-lite bench",
-            file=sys.stderr,
-        )
-        return 2
-    if args.descend and args.scale is not None and args.scales:
-        print("error: pass either --scale or --scales, not both", file=sys.stderr)
-        return 2
-    sweep = dict(
-        repeats=args.repeats or 1,
-        progress=progress,
-        jobs=1 if args.jobs is None else args.jobs,
-        store_path=_store_path(args),
-    )
-    if args.descend:
-        sizes = args.sizes or None
-        if args.scales:
-            scales = args.scales
-        elif args.scale is not None:
-            scales = [args.scale]
-        elif args.quick:
-            # CI smoke subset: the QUICK_DESCEND_ROWS footprint.
-            scales = enginebench.QUICK_DESCEND_SCALES
-            sizes = sizes or enginebench.QUICK_SIZES
-        else:
-            scales = None
-        return run_and_report(
-            lambda: enginebench.run_descend_engine_bench(
-                benchmarks=args.benchmarks or enginebench.DESCEND_BENCHMARKS,
-                sizes=sizes, scales=scales, budget_s=args.budget, **sweep,
-            ),
-            args.output or "BENCH_descend_engine.json", args.json, quick=args.quick,
-        )
-    sizes = args.sizes or (enginebench.QUICK_SIZES if args.quick else enginebench.DEFAULT_SIZES)
+    variant = "descend" if args.descend else "cudalite"
+    rows = None  # the variant's default rows
+    if args.sizes or args.scales:
+        rows = [(size, scale) for scale in args.scales or [1] for size in args.sizes or ["small"]]
+    elif args.quick:
+        rows = enginebench.QUICK_ROWS
     return run_and_report(
         lambda: enginebench.run_engine_bench(
-            benchmarks=args.benchmarks or BENCHMARKS, sizes=sizes, scale=args.scale, **sweep,
+            variant,
+            benchmarks=args.benchmarks,
+            rows=rows,
+            repeats=args.repeats or 1,
+            budget_s=args.budget,
+            jobs=1 if args.jobs is None else args.jobs,
+            store_path=_store_path(args),
+            progress=progress,
         ),
-        args.output or "BENCH_engine.json", args.json, quick=args.quick,
+        args.output or ("BENCH_descend_engine.json" if args.descend else "BENCH_engine.json"),
+        args.json, quick=args.quick,
     )
 
 
@@ -817,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--benchmarks", nargs="*")
     bench.add_argument("--sizes", nargs="*")
-    bench.add_argument("--quick", action="store_true", help="CI smoke subset (small sizes)")
+    bench.add_argument("--quick", action="store_true", help="CI smoke subset (small x 1)")
     bench.add_argument(
         "--descend", action="store_true",
         help="benchmark the Descend programs (device-plan backend) instead of CUDA-lite",
@@ -842,10 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scales", nargs="*", type=int,
-        help="workload scales for --descend (default rows: small x 1/4/8/16, "
+        help="workload scales, each run over --sizes (default 1; without either "
+        "flag: small and medium x 1, or with --descend small x 1/4/8/16, "
         "medium and large x 8)",
     )
-    bench.add_argument("--scale", type=int, default=None, help="workload scale (CUDA-lite variant)")
     bench.add_argument("--repeats", type=int)
     bench.add_argument(
         "--jobs", type=int, default=None,
@@ -854,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--budget", type=float, default=None,
         help="per-row wall-clock budget (seconds) for the reference-engine column "
-        "of the Descend sweep; over-budget rows record it as skipped",
+        "(default 600); over-budget rows record it as skipped",
     )
     bench.add_argument("--output", help="path of the BENCH_*.json report")
     bench.add_argument("--json", action="store_true")

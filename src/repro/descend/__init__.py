@@ -8,7 +8,7 @@ client, and the canonical compile functions:
 >>> from repro.descend.api import compile_source
 >>> program = compile_source(source_text)      # parse + typecheck
 >>> cuda = program.to_cuda()                   # CUDA C++ source strings
->>> result = program.run(device, args)         # execute on the GPU simulator
+>>> launch = program.kernel(name).launch(device, args)  # run on the GPU simulator
 """
 
 from repro.descend.nat import Nat, NatConst, NatVar, as_nat

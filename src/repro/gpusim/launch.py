@@ -88,7 +88,6 @@ class ThreadCtx:
         self._warp_size = warp_size
         self._epoch = 0
         self._mem_slot = 0
-        self._local_buffers: List[DeviceBuffer] = []
 
     # -- identity ------------------------------------------------------------------
     @property
@@ -179,9 +178,7 @@ class ThreadCtx:
 
     def local(self, shape: Sequence[int], dtype=np.float64, label: str = "local") -> DeviceBuffer:
         """Per-thread private memory."""
-        buffer = DeviceBuffer.allocate(shape, dtype=dtype, space="local", label=label)
-        self._local_buffers.append(buffer)
-        return buffer
+        return DeviceBuffer.allocate(shape, dtype=dtype, space="local", label=label)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from repro.benchsuite.enginebench import (
     EngineBenchResult,
     EngineBenchRow,
     compare_engines,
-    run_descend_engine_bench,
     run_engine_bench,
 )
 from repro.benchsuite.figure8 import Figure8Result, Figure8Row, run_figure8
@@ -161,7 +160,7 @@ class TestEngineBench:
         assert row.speedup > 1.0
 
     def test_run_engine_bench_and_report(self, tmp_path):
-        result = run_engine_bench(benchmarks=("reduce",), sizes=("small",))
+        result = run_engine_bench("cudalite", benchmarks=("reduce",), rows=(("small", 1),))
         assert len(result.rows) == 1
         assert result.all_cycles_match
         table = result.to_table()
@@ -178,9 +177,7 @@ class TestEngineBench:
         )
 
     def test_descend_engine_bench_parity_and_report(self, tmp_path):
-        result = run_descend_engine_bench(
-            benchmarks=("transpose",), sizes=("small",), scales=(1,)
-        )
+        result = run_engine_bench("descend", benchmarks=("transpose",), rows=(("small", 1),))
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.variant == "descend" and row.scale == 1
@@ -303,8 +300,8 @@ class TestServeBench:
 
 class TestBudgetGuard:
     def test_budget_skips_reference_column(self, tmp_path):
-        result = run_descend_engine_bench(
-            benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0
+        result = run_engine_bench(
+            "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0
         )
         row = result.rows[0]
         assert row.skipped == "budget"
@@ -329,11 +326,22 @@ class TestBudgetGuard:
         assert strict["workloads"][0]["speedup"] is None
 
     def test_generous_budget_runs_reference_column(self):
-        result = run_descend_engine_bench(
-            benchmarks=("transpose",), rows=(("small", 1),), budget_s=1e9
+        result = run_engine_bench(
+            "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=1e9
         )
         assert result.rows[0].skipped is None
         assert result.rows[0].cycles_match
+
+    def test_cudalite_rows_are_row_major_and_budget_guarded(self):
+        result = run_engine_bench(
+            "cudalite", benchmarks=("reduce", "transpose"),
+            rows=(("small", 1), ("small", 2)), budget_s=0.0,
+        )
+        assert result.kind == "engine-bench"
+        assert [(row.benchmark, row.scale) for row in result.rows] == [
+            ("reduce", 1), ("transpose", 1), ("reduce", 2), ("transpose", 2),
+        ]
+        assert {row.skipped for row in result.rows} == {"budget"}
 
     def test_default_rows_cover_large_and_scale_16(self):
         from repro.benchsuite.enginebench import DESCEND_ROWS
@@ -371,18 +379,16 @@ class TestSweepOrchestrator:
     def test_parallel_rows_match_serial_modulo_timing(self, tmp_path):
         """The --jobs sweep must reproduce the serial report byte-for-byte
         up to wall-clock fields (the ISSUE acceptance criterion)."""
+        from repro.benchsuite.sweepbench import UNSTABLE_COLUMNS
+
         kwargs = dict(benchmarks=("reduce", "transpose"), rows=(("small", 1),), repeats=1)
-        serial = run_descend_engine_bench(**kwargs)
-        parallel = run_descend_engine_bench(
-            **kwargs, jobs=2, store_path=str(tmp_path / "store")
+        serial = run_engine_bench("descend", **kwargs)
+        parallel = run_engine_bench(
+            "descend", **kwargs, jobs=2, store_path=str(tmp_path / "store")
         )
 
         def stable(row):
-            drop = (
-                "reference_wall_s", "vectorized_wall_s", "jit_wall_s",
-                "speedup", "jit_speedup", "host",
-            )
-            return {k: v for k, v in row.as_dict().items() if k not in drop}
+            return {k: v for k, v in row.as_dict().items() if k not in UNSTABLE_COLUMNS}
 
         assert [stable(r) for r in serial.rows] == [stable(r) for r in parallel.rows]
         assert parallel.kind == serial.kind == "descend-engine-bench"
@@ -396,8 +402,8 @@ class TestSweepOrchestrator:
         from repro.descend.store import ArtifactStore
 
         with session_scope():
-            run_descend_engine_bench(
-                benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0,
+            run_engine_bench(
+                "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0,
                 store_path=str(tmp_path / "store"),
             )
         assert ArtifactStore(tmp_path / "store").stats()["entries"] > 0
@@ -408,8 +414,8 @@ class TestSweepOrchestrator:
 
         store_a = ArtifactStore(tmp_path / "a")
         with session_scope(CompileSession().attach_store(store_a)):
-            run_descend_engine_bench(
-                benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0,
+            run_engine_bench(
+                "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0,
                 store_path=str(tmp_path / "b"),
             )
             # The sweep warmed /b (the explicit request), not the session's
@@ -433,11 +439,11 @@ class TestSweepOrchestrator:
                 benchmarks=("transpose",), rows=(("small", 1),), repeats=1,
                 jobs=2, store_path=store_path,
             )
-            cold = run_descend_engine_bench(**kwargs)
+            cold = run_engine_bench("descend", **kwargs)
             cold_plan = cold.compile_passes.get("lower.plan", {})
             assert cold_plan.get("compute", 0) > 0  # the first sweep lowered
 
-            warm = run_descend_engine_bench(**kwargs)
+            warm = run_engine_bench("descend", **kwargs)
             warm_plan = warm.compile_passes.get("lower.plan", {})
             assert warm_plan.get("compute", 0) == 0
             assert warm_plan.get("store", 0) >= 1  # served straight from the store
@@ -454,8 +460,8 @@ class TestSweepOrchestrator:
         from repro.descend.driver import session_scope
 
         with session_scope():
-            result = run_descend_engine_bench(
-                benchmarks=("transpose",), rows=(("small", 1),), budget_s=1e9,
+            result = run_engine_bench(
+                "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=1e9,
             )
         assert result.compile_passes.get("lower.plan", {}).get("compute", 0) == 1
         assert result.compile_passes.get("typeck", {}).get("compute", 0) >= 1
@@ -473,8 +479,8 @@ class TestSweepOrchestrator:
         ambient = tmp_path / "ambient-store"
         ambient.mkdir()
         monkeypatch.setenv("REPRO_STORE", str(ambient))
-        result = run_descend_engine_bench(
-            benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
+        result = run_engine_bench(
+            "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
         )
         assert [row.benchmark for row in result.rows] == ["transpose"]
         assert list(ambient.iterdir()) == []
@@ -507,7 +513,6 @@ class TestSweepDispatch:
         "benchmark": "reduce", "size": "small", "variant": "descend", "scale": 1,
         "reference_cycles": 10.0, "vectorized_cycles": 10.0,
         "reference_wall_s": 0.5, "vectorized_wall_s": 0.1,
-        "jit_cycles": 10.0, "jit_wall_s": 0.05,
         "footprint_bytes": 1024, "skipped": None, "retries": 0,
         "host": "fake-worker:1",
     }

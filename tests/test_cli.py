@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 GOOD_SOURCE = """
 fn scale_vec(vec: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> () {
@@ -302,6 +302,24 @@ def test_bench_descend_budget_skips_reference(tmp_path, capsys):
     assert row["vectorized_cycles"] > 0
 
 
+def test_bench_scales_apply_to_the_cudalite_variant(tmp_path, capsys):
+    import json
+
+    out_path = tmp_path / "BENCH_scales.json"
+    assert main([
+        "bench", "--scales", "2", "--sizes", "small", "--benchmarks", "reduce",
+        "--output", str(out_path),
+    ]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["kind"] == "engine-bench"
+    [row] = payload["workloads"]
+    assert (row["variant"], row["size"], row["scale"]) == ("cudalite", "small", 2)
+    assert row["cycles_match"] is True
+    assert not [key for key in row if key.startswith("jit_")]
+    # `--scale` is no flag of its own: argparse reads it as `--scales`.
+    assert build_parser().parse_args(["bench", "--scale", "2"]).scales == [2]
+
+
 def test_bench_compile_rejects_jobs(capsys):
     assert main(["bench", "--compile", "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err
@@ -310,8 +328,6 @@ def test_bench_compile_rejects_jobs(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--scales", "1"],
-        ["bench", "--descend", "--scale", "2", "--scales", "1"],
         ["bench", "--benchmarks", "nope"],
         ["bench", "--sizes", "huge"],
         ["bench", "--serve", "--descend"],

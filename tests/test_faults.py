@@ -315,10 +315,10 @@ class TestSweepChaos:
     cells to the dispatcher and must surface its healing and its failures."""
 
     def _sweep(self):
-        from repro.benchsuite.enginebench import run_descend_engine_bench
+        from repro.benchsuite.enginebench import run_engine_bench
 
-        return run_descend_engine_bench(
-            benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
+        return run_engine_bench(
+            "descend", benchmarks=("transpose",), rows=(("small", 1),), budget_s=0.0, jobs=2,
         )
 
     def test_worker_crash_is_retried_on_a_fresh_pool(self, monkeypatch):

@@ -81,7 +81,7 @@ class TestCampaign:
         assert report["mutants"] == 9
         assert report["mutants_rejected"] == 9
         # No silent plan/jit fallbacks: every well-typed case really ran
-        # all three engines.
+        # on both engines.
         assert report["fallbacks"] == {}
 
     def test_report_is_byte_identical_across_runs(self):

@@ -30,12 +30,10 @@ def main() -> None:
     bins_buf = device.malloc((BINS,), dtype=np.float64)
 
     first = compiled.kernel("histogram_partials").launch(
-        device,
-        {"keys": keys_buf, "bin_ids": bin_ids_buf, "partials": partials_buf},
-        detect_races=True,
+        device, {"keys": keys_buf, "bin_ids": bin_ids_buf, "partials": partials_buf}
     )
     second = compiled.kernel("combine_bins").launch(
-        device, {"partials": partials_buf, "bins_out": bins_buf}, detect_races=True
+        device, {"partials": partials_buf, "bins_out": bins_buf}
     )
 
     counts = device.to_host(bins_buf)

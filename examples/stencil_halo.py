@@ -29,9 +29,7 @@ def main() -> None:
     device = GpuDevice()
     inp_buf = device.to_device(padded)
     out_buf = device.malloc((N,), dtype=np.float64)
-    launch = compiled.kernel("stencil3").launch(
-        device, {"inp": inp_buf, "out": out_buf}, detect_races=True
-    )
+    launch = compiled.kernel("stencil3").launch(device, {"inp": inp_buf, "out": out_buf})
 
     result = device.to_host(out_buf)
     reference = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0

@@ -10,7 +10,7 @@ launches) against the caller's current execution resource.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.descend.ast.dims import Dim
 from repro.descend.nat import Nat
@@ -99,11 +99,6 @@ class ExecSpec:
 
     def is_gpu(self) -> bool:
         return self.level.is_gpu()
-
-    def grid_level(self) -> Optional[GpuGridLevel]:
-        if isinstance(self.level, GpuGridLevel):
-            return self.level
-        return None
 
     def __str__(self) -> str:
         return self.describe()

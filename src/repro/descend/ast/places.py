@@ -155,9 +155,6 @@ class PIdx(PlaceExpr):
     def parts(self) -> List[PlaceExpr]:
         return self.base.parts() + [self]
 
-    def index_is_nat(self) -> bool:
-        return isinstance(self.index, Nat)
-
     def __str__(self) -> str:
         return f"{self.base}[{self.index}]"
 

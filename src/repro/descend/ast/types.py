@@ -67,9 +67,6 @@ class ScalarType(DataType):
     def is_float(self) -> bool:
         return self.name in ("f32", "f64")
 
-    def is_integer(self) -> bool:
-        return self.name in ("i32", "u32", "i64")
-
     def __str__(self) -> str:
         return self.name
 

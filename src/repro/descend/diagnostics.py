@@ -82,15 +82,6 @@ class Diagnostic:
         self.notes.append(note)
         return self
 
-    @property
-    def primary_span(self) -> Span:
-        for label in self.labels:
-            if label.primary:
-                return label.span
-        if self.labels:
-            return self.labels[0].span
-        return NO_SPAN
-
     def render(self, source: Optional[SourceFile] = None) -> str:
         return render_diagnostic(self, source)
 

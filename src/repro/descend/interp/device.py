@@ -447,7 +447,6 @@ class DescendKernel:
         device: GpuDevice,
         args: Dict[str, Union[DeviceBuffer, MemValue, int, float]],
         nat_args: Optional[Dict[str, int]] = None,
-        detect_races: Optional[bool] = None,
         execution_mode: Optional[str] = None,
     ) -> LaunchResult:
         nat_env = dict(nat_args or {})
@@ -482,6 +481,5 @@ class DescendKernel:
             block_dim=self.block_dim(nat_env),
             args=(),
             kernel_name=fun_def.name,
-            detect_races=detect_races,
             execution_mode=mode,
         )

@@ -65,8 +65,5 @@ class MemValue:
     def shape(self) -> Tuple[int, ...]:
         return tuple(self.logical.shape)
 
-    def with_logical(self, logical: LogicalArray) -> "MemValue":
-        return MemValue(buffer=self.buffer, logical=logical, uniq=self.uniq)
-
 
 Value = Union[int, float, bool, np.generic, MemValue]

@@ -14,8 +14,7 @@ The three stages:
   the reference engine (``sync`` under divergence, structured ops nested
   deeper than :data:`~repro.descend.plan.lower.MAX_NESTING`),
 * :mod:`repro.descend.plan.optimize` — the ``lower.plan.opt`` pass pipeline
-  (constant folding of closed nats, adjacent-arith fusion, dead-slot
-  elimination),
+  (adjacent-arith fusion, dead-slot elimination),
 * :mod:`repro.descend.plan.codegen` — the ``lower.plan.codegen`` pass,
   total over every plan the lowering accepts: the optimized IR becomes a
   straight-line Python source function (:class:`PlanSource`), the only

@@ -1,14 +1,7 @@
 """IR passes over device plans (stage two of the plan pipeline).
 
-Three simple, parity-preserving rewrites, run by the compiler driver as the
+Two simple, parity-preserving rewrites, run by the compiler driver as the
 ``lower.plan.opt`` pass (visible in ``--timings`` next to ``lower.plan``):
-
-``fold-nats``
-    Constant-fold every closed nat operand (``NatOp`` results, nat indices,
-    loop bounds, split positions, view arguments): a nat with no free
-    variables evaluates once here instead of per launch (or per loop
-    iteration) in the executor.  Nat evaluation records no cost, so folding
-    cannot change cycle counts.
 
 ``fuse-arith``
     Fuse an arith op into its single arith consumer within the same op
@@ -33,8 +26,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.descend.ast.views import ViewRef
-from repro.descend.nat import Nat, NatConst, NatError, evaluate_nat
 from repro.descend.plan.ir import (
     AllocOp,
     ArithOp,
@@ -47,7 +38,6 @@ from repro.descend.plan.ir import (
     FusedArithOp,
     IfOp,
     LogicOp,
-    NatIdxStep,
     NatOp,
     NegOp,
     NotOp,
@@ -59,7 +49,6 @@ from repro.descend.plan.ir import (
     SlotIdxStep,
     SplitOp,
     StoreOp,
-    ViewStep,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,11 +121,6 @@ def _map_bodies(op: PlanOp, fn) -> PlanOp:
     return op
 
 
-# ---------------------------------------------------------------------------
-# Pass 1: constant folding of Nat-resolved bounds
-# ---------------------------------------------------------------------------
-
-
 class _Counter:
     __slots__ = ("value",)
 
@@ -144,69 +128,8 @@ class _Counter:
         self.value = 0
 
 
-def _fold_nat(nat: Nat, counter: _Counter) -> Nat:
-    if isinstance(nat, NatConst) or nat.free_vars():
-        return nat
-    try:
-        folded = NatConst(int(evaluate_nat(nat, {})))
-    except NatError:
-        return nat
-    counter.value += 1
-    return folded
-
-
-def _fold_ref(ref: ViewRef, counter: _Counter) -> ViewRef:
-    nat_args = tuple(_fold_nat(nat, counter) for nat in ref.nat_args)
-    view_args = tuple(_fold_ref(arg, counter) for arg in ref.view_args)
-    if nat_args == ref.nat_args and view_args == ref.view_args:
-        return ref
-    return ViewRef(ref.name, nat_args, view_args)
-
-
-def _fold_place(place: PlaceIR, counter: _Counter) -> PlaceIR:
-    steps = tuple(
-        NatIdxStep(_fold_nat(step.nat, counter))
-        if isinstance(step, NatIdxStep)
-        else ViewStep(_fold_ref(step.ref, counter))
-        if isinstance(step, ViewStep)
-        else step
-        for step in place.steps
-    )
-    return place if steps == place.steps else replace(place, steps=steps)
-
-
-def _fold_op(op: PlanOp, counter: _Counter) -> PlanOp:
-    if isinstance(op, NatOp):
-        if isinstance(op.nat, NatConst):
-            counter.value += 1
-            return ConstOp(op.out, op.nat.value)
-        folded = _fold_nat(op.nat, counter)
-        if isinstance(folded, NatConst):
-            return ConstOp(op.out, folded.value)
-        return op
-    if isinstance(op, (ReadOp, BorrowOp)):
-        return replace(op, place=_fold_place(op.place, counter))
-    if isinstance(op, StoreOp):
-        return replace(op, place=_fold_place(op.place, counter))
-    if isinstance(op, ForNatOp):
-        return replace(op, lo=_fold_nat(op.lo, counter), hi=_fold_nat(op.hi, counter))
-    if isinstance(op, SplitOp):
-        return replace(op, pos=_fold_nat(op.pos, counter))
-    return op
-
-
-def fold_nats(plan: DevicePlan) -> Tuple[DevicePlan, int]:
-    """Evaluate every closed nat operand once, at compile time."""
-    counter = _Counter()
-
-    def fold_seq(ops: Tuple[PlanOp, ...]) -> Tuple[PlanOp, ...]:
-        return tuple(_map_bodies(_fold_op(op, counter), fold_seq) for op in ops)
-
-    return replace(plan, body=fold_seq(plan.body)), counter.value
-
-
 # ---------------------------------------------------------------------------
-# Pass 2: adjacent-arith fusion
+# Pass 1: adjacent-arith fusion
 # ---------------------------------------------------------------------------
 
 #: Ops an arith chain may be fused across: expression ops with no arith cost
@@ -266,7 +189,7 @@ def fuse_arith(plan: DevicePlan) -> Tuple[DevicePlan, int]:
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: dead-slot elimination + slot-table compaction
+# Pass 2: dead-slot elimination + slot-table compaction
 # ---------------------------------------------------------------------------
 
 
@@ -358,7 +281,6 @@ def eliminate_dead_slots(plan: DevicePlan) -> Tuple[DevicePlan, int]:
 
 #: The pass pipeline, in application order (name, pass function).
 PASSES = (
-    ("fold-nats", fold_nats),
     ("fuse-arith", fuse_arith),
     ("dead-slots", eliminate_dead_slots),
 )
@@ -367,7 +289,7 @@ PASSES = (
 def optimize_plan(plan: DevicePlan) -> Tuple[DevicePlan, str]:
     """Run the full pass pipeline; returns the plan and a change summary.
 
-    The summary string (e.g. ``"fold-nats:4 fuse-arith:1 dead-slots:6"``)
+    The summary string (e.g. ``"fuse-arith:1 dead-slots:6"``)
     lands in the ``lower.plan.opt`` pass timing's detail field.
     """
     details = []

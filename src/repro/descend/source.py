@@ -90,9 +90,5 @@ class SourceFile:
         """Return the raw source text covered by a span."""
         return self.text[span.start:span.end]
 
-    @property
-    def line_count(self) -> int:
-        return len(self._line_starts)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SourceFile(name={self.name!r}, {len(self.text)} bytes)"

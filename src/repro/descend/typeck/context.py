@@ -47,9 +47,6 @@ class KindEnv:
     def kind_of(self, name: str) -> Optional[Kind]:
         return self._kinds.get(name)
 
-    def is_nat_var(self, name: str) -> bool:
-        return self._kinds.get(name) == Kind.NAT
-
     def names(self) -> Tuple[str, ...]:
         return tuple(self._kinds)
 
@@ -155,12 +152,6 @@ class LocalEnv:
         info = self.lookup(name)
         if info is not None:
             info.moved = True
-
-    def all_variables(self) -> List[VarInfo]:
-        result: List[VarInfo] = []
-        for scope in self._scopes:
-            result.extend(scope.values())
-        return result
 
     # -- loans ---------------------------------------------------------------------
     def add_loan(self, loan: Loan) -> Loan:

@@ -198,7 +198,7 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
             device = GpuDevice()
             args = _case_args(fun_def, device, index)
             kernel = compiled.kernel(name)
-            launch = kernel.launch(device, args, detect_races=True, execution_mode=engine)
+            launch = kernel.launch(device, args, execution_mode=engine)
             expect_honored = engine == "reference" or plan_src is not None
             if expect_honored and launch.execution_mode != engine:
                 result.violations.append(
@@ -257,9 +257,7 @@ def _check_execution(compiled, index: int, result: CaseResult) -> None:
                 args = _case_args(fun_def, device, index)
                 kernel = DescendKernel(compiled.program, name)
                 kernel._plan_source_entry = (generate_plan_source(injected_plan), None)
-                launch = kernel.launch(
-                    device, args, detect_races=True, execution_mode="vectorized"
-                )
+                launch = kernel.launch(device, args, execution_mode="vectorized")
                 injected[label] = (
                     launch.cycles,
                     launch.barriers,

@@ -21,9 +21,9 @@ same access patterns are ≈ 1, which is the property Figure 8 reports.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Dict, Iterable, List, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -48,18 +48,6 @@ class CostParameters:
     memory_parallelism: float = 8.0
     #: how many warps execute concurrently (compute parallelism)
     compute_parallelism: float = 16.0
-
-
-@dataclass
-class MemoryAccess:
-    """One recorded memory access (already reduced to what the model needs)."""
-
-    block: int
-    warp: int
-    slot: int
-    address: int
-    is_write: bool
-    space: str
 
 
 @dataclass
@@ -93,15 +81,16 @@ class CostModel:
 
     Accesses arrive through one of two equivalent paths:
 
-    * :meth:`record_access` — one :class:`MemoryAccess` at a time (the
-      per-thread reference interpreter),
+    * :meth:`record_access` — one access at a time (the per-thread reference
+      interpreter), folded on arrival into its ``(block, warp, slot)``
+      group's set of distinct global segments or shared addresses,
     * :meth:`record_access_batch` — numpy arrays covering one vector operation
       of the vectorized and jit engines.
 
     Both paths produce bit-identical cycle counts: the batched path evaluates
     the same per-``(block, warp, slot)`` grouping with one folded int64 key
     per access (:func:`_fold`) and one sort per memory space instead of
-    Python dictionaries.  Launches record into the subclass
+    Python sets.  Launches record into the subclass
     :class:`~repro.gpusim.engine.jit.JitCostModel`, which folds uniform
     full-grid batches into running totals as they arrive; the rest (masked,
     mixed-slot, or in blocks with a partial warp) reach this buffered path.
@@ -109,20 +98,29 @@ class CostModel:
 
     def __init__(self, params: CostParameters = CostParameters()) -> None:
         self.params = params
-        self._global: DefaultDict[Tuple[int, int, int], List[MemoryAccess]] = defaultdict(list)
-        self._shared: DefaultDict[Tuple[int, int, int], List[MemoryAccess]] = defaultdict(list)
+        self._global: DefaultDict[Tuple[int, int, int], Set[int]] = defaultdict(set)
+        self._shared: DefaultDict[Tuple[int, int, int], Set[int]] = defaultdict(set)
+        self._global_accesses = 0
+        self._shared_accesses = 0
         self._global_batches: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._shared_batches: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._arithmetic = 0
         self._barriers = 0
 
     # -- recording -------------------------------------------------------------
-    def record_access(self, access: MemoryAccess) -> None:
-        key = (access.block, access.warp, access.slot)
-        if access.space == "global":
-            self._global[key].append(access)
-        elif access.space == "shared":
-            self._shared[key].append(access)
+    def record_access(self, block: int, warp: int, slot: int, address: int, space: str) -> None:
+        """Record one access at byte ``address`` (``offset * element_size``).
+
+        Only what :meth:`finalize` reads is kept: the distinct segments of
+        the access's ``(block, warp, slot)`` group in global memory, its
+        distinct addresses in shared memory.
+        """
+        if space == "global":
+            self._global[(block, warp, slot)].add(address // self.params.global_segment_bytes)
+            self._global_accesses += 1
+        elif space == "shared":
+            self._shared[(block, warp, slot)].add(address)
+            self._shared_accesses += 1
         # private/local accesses are register-like: folded into arithmetic cost
         else:
             self._arithmetic += 1
@@ -133,13 +131,11 @@ class CostModel:
         warps: np.ndarray,
         slots: np.ndarray,
         addresses: np.ndarray,
-        is_write: bool,
         space: str,
     ) -> None:
         """Record one vectorized operation: parallel arrays of equal length.
 
-        ``addresses`` are byte addresses (``offset * element_size``), matching
-        what :meth:`record_access` receives via :class:`MemoryAccess`.
+        ``addresses`` are byte addresses, as :meth:`record_access` receives.
         """
         count = len(addresses)
         if count == 0:
@@ -165,25 +161,17 @@ class CostModel:
 
     # -- evaluation --------------------------------------------------------------
     def _global_transactions(self) -> int:
-        transactions = 0
-        segment = self.params.global_segment_bytes
-        for accesses in self._global.values():
-            segments = {access.address // segment for access in accesses}
-            transactions += len(segments)
-        return transactions
+        return sum(len(segments) for segments in self._global.values())
 
     def _shared_cycles(self) -> float:
-        cycles = 0.0
+        """Each group's worst bank: the most distinct addresses in one bank."""
         banks = self.params.shared_banks
         width = self.params.shared_bank_width
-        for accesses in self._shared.values():
-            per_bank: DefaultDict[int, set] = defaultdict(set)
-            for access in accesses:
-                bank = (access.address // width) % banks
-                per_bank[bank].add(access.address)
-            conflict_factor = max((len(addresses) for addresses in per_bank.values()), default=0)
-            cycles += self.params.shared_access_cost * max(conflict_factor, 1 if accesses else 0)
-        return cycles
+        conflicts = sum(
+            max(Counter((address // width) % banks for address in addresses).values())
+            for addresses in self._shared.values()
+        )
+        return float(self.params.shared_access_cost * conflicts)
 
     @staticmethod
     def _concat_batches(batches) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -233,10 +221,8 @@ class CostModel:
         params = self.params
         global_transactions = self._global_transactions() + self._batched_global_transactions()
         shared_cycles = self._shared_cycles() + self._batched_shared_cycles()
-        global_accesses = sum(len(v) for v in self._global.values())
-        global_accesses += sum(len(batch[3]) for batch in self._global_batches)
-        shared_accesses = sum(len(v) for v in self._shared.values())
-        shared_accesses += sum(len(batch[3]) for batch in self._shared_batches)
+        global_accesses = self._global_accesses + sum(len(batch[3]) for batch in self._global_batches)
+        shared_accesses = self._shared_accesses + sum(len(batch[3]) for batch in self._shared_batches)
 
         global_cycles = global_transactions * params.global_transaction_cost / params.memory_parallelism
         arithmetic_cycles = (

@@ -85,12 +85,10 @@ class GpuDevice:
         self,
         cost_parameters: CostParameters = CostParameters(),
         properties: DeviceProperties = DeviceProperties(),
-        detect_races: bool = True,
         execution_mode: str = "reference",
     ) -> None:
         self.cost_parameters = cost_parameters
         self.properties = properties
-        self.detect_races = detect_races
         get_engine(execution_mode)  # validate eagerly
         self.execution_mode = execution_mode
         self._allocations: Dict[int, DeviceBuffer] = {}
@@ -169,7 +167,6 @@ class GpuDevice:
         block_dim,
         args: Sequence[object] = (),
         kernel_name: Optional[str] = None,
-        detect_races: Optional[bool] = None,
         execution_mode: Optional[str] = None,
     ) -> LaunchResult:
         """Execute a kernel over the given grid and collect cost/race reports."""
@@ -186,8 +183,7 @@ class GpuDevice:
         cost = JitCostModel(
             self.cost_parameters, blocks, threads_per_block, self.properties.warp_size
         )
-        races_enabled = self.detect_races if detect_races is None else detect_races
-        detector = RaceDetector() if races_enabled else None
+        detector = RaceDetector()
 
         stats = engine.run(
             kernel=kernel,
@@ -204,7 +200,7 @@ class GpuDevice:
             grid_dim=grid_dim,
             block_dim=block_dim,
             cost=cost.finalize(blocks=blocks, threads_per_block=threads_per_block),
-            races=detector.check() if detector is not None else [],
+            races=detector.check(),
             barriers=stats.barriers,
             execution_mode=mode,
         )

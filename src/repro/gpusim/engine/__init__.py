@@ -23,8 +23,10 @@ engines:
 
 All engines share one accounting core: ``GpuDevice.launch`` builds a
 :class:`JitCostModel` and a :class:`~repro.gpusim.races.RaceDetector` for
-every launch.  The reference engine feeds their scalar paths, the others
-their batched ones.
+every launch, so every launch is race-checked.  The reference engine feeds
+their scalar paths, where the cost model folds each access on arrival into
+its ``(block, warp, slot)`` group's distinct segments or addresses; the
+others feed their batched ones.
 
 Engines are selected per device (``GpuDevice(execution_mode=...)``) or per
 launch (``device.launch(..., execution_mode=...)``).

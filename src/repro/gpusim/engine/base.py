@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.errors import LaunchConfigurationError
 from repro.gpusim.cost import CostModel
@@ -32,8 +32,8 @@ class ExecutionEngine(abc.ABC):
         args: Sequence[object],
         grid_dim: Dim3,
         block_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         warp_size: int = 32,
     ) -> EngineStats:
         """Execute every thread of the launch; mutates buffers in ``args``."""

@@ -23,7 +23,7 @@ those of the plain ``CostModel``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class JitCostModel(CostModel):
         self._fast_shared_accesses = 0
 
     # -- recording -------------------------------------------------------------
-    def record_access_batch(self, blocks, warps, slots, addresses, is_write, space) -> None:
+    def record_access_batch(self, blocks, warps, slots, addresses, space) -> None:
         if (
             self._streaming_ok
             and space in ("global", "shared")
@@ -73,7 +73,7 @@ class JitCostModel(CostModel):
                     self._fast_shared_conflicts += self._uniform_shared(addresses)
                     self._fast_shared_accesses += int(addresses.size)
                 return
-        super().record_access_batch(blocks, warps, slots, addresses, is_write, space)
+        super().record_access_batch(blocks, warps, slots, addresses, space)
 
     def _uniform_global(self, addresses: np.ndarray) -> int:
         """Distinct 128-byte segments per warp row, summed over the grid."""
@@ -133,8 +133,8 @@ class JitEngine(ExecutionEngine):
         args: Sequence[object],
         grid_dim: Dim3,
         block_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         warp_size: int = 32,
     ) -> EngineStats:
         return run_lockstep(kernel, args, grid_dim, block_dim, cost, races, warp_size)

@@ -8,7 +8,7 @@ semantics — the vectorized engine is validated against it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.gpusim.cost import CostModel
 from repro.gpusim.engine.base import Dim3, EngineStats, ExecutionEngine
@@ -27,8 +27,8 @@ class ReferenceEngine(ExecutionEngine):
         args: Sequence[object],
         grid_dim: Dim3,
         block_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         warp_size: int = 32,
     ) -> EngineStats:
         stats = EngineStats()

@@ -103,8 +103,8 @@ class VecCtx:
         self,
         grid_dim: Dim3,
         block_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         warp_size: int = 32,
     ) -> None:
         gx, gy, gz = grid_dim
@@ -201,16 +201,14 @@ class VecCtx:
                 f"out-of-bounds access at offset {bad} of buffer "
                 f"{buffer.label or buffer.buffer_id} (size {buffer.size})"
             )
-        if self._cost is not None:
-            self._cost.record_access_batch(
-                blocks=blocks,
-                warps=warps,
-                slots=slots,
-                addresses=active_offsets * buffer.element_size,
-                is_write=is_write,
-                space=buffer.space,
-            )
-        if self._races is not None and buffer.space in ("global", "shared"):
+        self._cost.record_access_batch(
+            blocks=blocks,
+            warps=warps,
+            slots=slots,
+            addresses=active_offsets * buffer.element_size,
+            space=buffer.space,
+        )
+        if buffer.space in ("global", "shared"):
             if buffer.space == "shared":
                 # Per-block copies live at disjoint key offsets so the
                 # detector's cross-block rule can never fire between two
@@ -274,8 +272,6 @@ class VecCtx:
 
     def arith(self, count: int = 1, where=None) -> None:
         """Account for ``count`` arithmetic instructions per (active) thread."""
-        if self._cost is None:
-            return
         if where is None:
             active = self.num_threads
         else:
@@ -287,8 +283,7 @@ class VecCtx:
     def sync(self) -> None:
         """Block-wide barrier (``__syncthreads()``) for every block at once."""
         self._barriers += self.num_blocks
-        if self._cost is not None:
-            self._cost.record_barrier(self.num_blocks)
+        self._cost.record_barrier(self.num_blocks)
         self._epoch += 1
 
     # -- allocation --------------------------------------------------------------------
@@ -310,8 +305,8 @@ def run_lockstep(
     args: Sequence[object],
     grid_dim: Dim3,
     block_dim: Dim3,
-    cost: Optional[CostModel],
-    races: Optional[RaceDetector],
+    cost: CostModel,
+    races: RaceDetector,
     warp_size: int = 32,
 ) -> EngineStats:
     """Run every thread of a launch in lockstep over one :class:`VecCtx`.
@@ -338,8 +333,8 @@ class VectorizedEngine(ExecutionEngine):
         args: Sequence[object],
         grid_dim: Dim3,
         block_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         warp_size: int = 32,
     ) -> EngineStats:
         return run_lockstep(kernel, args, grid_dim, block_dim, cost, races, warp_size)

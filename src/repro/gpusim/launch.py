@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import BarrierDivergenceError, DeviceMemoryError
 from repro.gpusim.buffer import DeviceBuffer
-from repro.gpusim.cost import CostModel, MemoryAccess
+from repro.gpusim.cost import CostModel
 from repro.gpusim.races import RaceDetector, RecordedAccess
 
 Dim3 = Tuple[int, int, int]
@@ -55,9 +55,6 @@ class Index3:
     y: int
     z: int
 
-    def as_tuple(self) -> Dim3:
-        return (self.x, self.y, self.z)
-
 
 class ThreadCtx:
     """Per-thread execution context handed to kernels.
@@ -73,8 +70,8 @@ class ThreadCtx:
         block_idx: Dim3,
         block_dim: Dim3,
         grid_dim: Dim3,
-        cost: Optional[CostModel],
-        races: Optional[RaceDetector],
+        cost: CostModel,
+        races: RaceDetector,
         shared_pool: Dict[str, DeviceBuffer],
         warp_size: int = 32,
     ) -> None:
@@ -82,33 +79,17 @@ class ThreadCtx:
         self.blockIdx = Index3(*block_idx)
         self.blockDim = Index3(*block_dim)
         self.gridDim = Index3(*grid_dim)
+        bx, by, bz = block_dim
+        gx, gy, _ = grid_dim
+        self.linear_thread_id = (thread_idx[2] * by + thread_idx[1]) * bx + thread_idx[0]
+        self.linear_block_id = (block_idx[2] * gy + block_idx[1]) * gx + block_idx[0]
+        self.global_thread_id = self.linear_block_id * (bx * by * bz) + self.linear_thread_id
+        self.warp_id = self.linear_thread_id // warp_size
         self._cost = cost
         self._races = races
         self._shared_pool = shared_pool
-        self._warp_size = warp_size
         self._epoch = 0
         self._mem_slot = 0
-
-    # -- identity ------------------------------------------------------------------
-    @property
-    def linear_thread_id(self) -> int:
-        bd = self.blockDim
-        ti = self.threadIdx
-        return (ti.z * bd.y + ti.y) * bd.x + ti.x
-
-    @property
-    def linear_block_id(self) -> int:
-        gd = self.gridDim
-        bi = self.blockIdx
-        return (bi.z * gd.y + bi.y) * gd.x + bi.x
-
-    @property
-    def global_thread_id(self) -> int:
-        return self.linear_block_id * (self.blockDim.x * self.blockDim.y * self.blockDim.z) + self.linear_thread_id
-
-    @property
-    def warp_id(self) -> int:
-        return self.linear_thread_id // self._warp_size
 
     @property
     def epoch(self) -> int:
@@ -119,19 +100,11 @@ class ThreadCtx:
 
     # -- memory ---------------------------------------------------------------------
     def _record(self, buffer: DeviceBuffer, offset: int, is_write: bool) -> None:
-        if self._cost is not None:
-            self._cost.record_access(
-                MemoryAccess(
-                    block=self.linear_block_id,
-                    warp=self.warp_id,
-                    slot=self._mem_slot,
-                    address=offset * buffer.element_size,
-                    is_write=is_write,
-                    space=buffer.space,
-                )
-            )
+        self._cost.record_access(
+            self.linear_block_id, self.warp_id, self._mem_slot, offset * buffer.element_size, buffer.space
+        )
         self._mem_slot += 1
-        if self._races is not None and buffer.space in ("global", "shared"):
+        if buffer.space in ("global", "shared"):
             self._races.record(
                 RecordedAccess(
                     buffer_id=buffer.buffer_id,
@@ -164,7 +137,7 @@ class ThreadCtx:
 
     def arith(self, count: int = 1, where=None) -> None:
         """Account for arithmetic instructions executed by this thread."""
-        if self._cost is not None and (where is None or where):
+        if where is None or where:
             self._cost.record_arithmetic(count)
 
     # -- allocation --------------------------------------------------------------------
@@ -202,8 +175,8 @@ def run_block(
     block_idx: Dim3,
     block_dim: Dim3,
     grid_dim: Dim3,
-    cost: Optional[CostModel],
-    races: Optional[RaceDetector],
+    cost: CostModel,
+    races: RaceDetector,
     warp_size: int = 32,
 ) -> BlockRunStats:
     """Execute all threads of one block, respecting barriers."""
@@ -251,8 +224,7 @@ def run_block(
                 f"barrier divergence in block {block_idx}: not all threads reached the barrier"
             )
         stats.barriers += 1
-        if cost is not None:
-            cost.record_barrier(1)
+        cost.record_barrier(1)
         for ctx in contexts:
             ctx.advance_epoch()
     return stats

@@ -39,7 +39,7 @@ _SPAN_PER_ACCESS = 2
 _SPAN_FLOOR = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordedAccess:
     """A single dynamic access to one element of one buffer."""
 

@@ -185,7 +185,7 @@ class TestSessionCache:
 
 
 def _opt(fun):
-    return f"{fun} fold-nats:0 fuse-arith:0 dead-slots:0"
+    return f"{fun} fuse-arith:0 dead-slots:0"
 
 
 #: The (unit, pass, cached, detail, tier) records of :func:`_scripted_ops`

@@ -11,7 +11,6 @@ import pytest
 from repro.cudalite.kernels import buggy, histogram, matmul, reduce, scan, stencil, transpose, vector
 from repro.errors import DeviceMemoryError, LaunchConfigurationError
 from repro.gpusim import CostModel, CostParameters, GpuDevice, RaceDetector
-from repro.gpusim.cost import MemoryAccess
 from repro.gpusim.engine import EXECUTION_MODES, get_engine
 from repro.gpusim.engine.jit import JitCostModel
 from repro.gpusim.races import RecordedAccess
@@ -462,20 +461,16 @@ class TestBatchedRecorders:
                     addresses[far] = rng.integers(2**50, 2**62, size=int(far.sum()))
                 batch_slots = slots[active].copy()
                 slots[active] += 1
-                is_write = bool(rng.random() < 0.5)
+                rng.random()  # the access direction, which the cost model does not read
                 for lane, slot, address in zip(active, batch_slots, addresses):
                     scalar.record_access(
-                        MemoryAccess(
-                            block=int(lane_blocks[lane]), warp=int(lane_warps[lane]),
-                            slot=int(slot), address=int(address),
-                            is_write=is_write, space=space,
-                        )
+                        block=int(lane_blocks[lane]), warp=int(lane_warps[lane]),
+                        slot=int(slot), address=int(address), space=space,
                     )
                 for model in (batched, jit):
                     model.record_access_batch(
                         blocks=lane_blocks[active], warps=lane_warps[active],
-                        slots=batch_slots, addresses=addresses,
-                        is_write=is_write, space=space,
+                        slots=batch_slots, addresses=addresses, space=space,
                     )
                 if space == "global" and active.size:
                     segments = addresses // params.global_segment_bytes
@@ -501,13 +496,11 @@ class TestBatchedRecorders:
         scalar = CostModel()
         batched = CostModel()
         for _ in range(10):
-            scalar.record_access(
-                MemoryAccess(block=0, warp=0, slot=0, address=0, is_write=False, space="local")
-            )
+            scalar.record_access(block=0, warp=0, slot=0, address=0, space="local")
         batched.record_access_batch(
             blocks=np.zeros(10, dtype=np.int64), warps=np.zeros(10, dtype=np.int64),
             slots=np.zeros(10, dtype=np.int64), addresses=np.zeros(10, dtype=np.int64),
-            is_write=False, space="local",
+            space="local",
         )
         assert scalar.finalize(1, 32).cycles == batched.finalize(1, 32).cycles
 

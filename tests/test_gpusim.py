@@ -1,5 +1,7 @@
 """Tests for the GPU simulator substrate: buffers, launches, races, cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.errors import (
 )
 from repro.gpusim import CostModel, CostParameters
 from repro.gpusim.buffer import DeviceBuffer, HostBuffer
-from repro.gpusim.cost import MemoryAccess
 from repro.gpusim.device import CopyDirection
 from repro.gpusim.races import RaceDetector, RecordedAccess
 
@@ -175,16 +176,17 @@ class TestRaceDetector:
 
 
 class TestCostModel:
-    def _warp_access(self, lane, address, slot=0, write=False, space="global"):
-        return MemoryAccess(block=0, warp=0, slot=slot, address=address, is_write=write, space=space)
+    @staticmethod
+    def _record(model, address, slot=0, space="global"):
+        model.record_access(block=0, warp=0, slot=slot, address=address, space=space)
 
     def test_coalesced_warp_costs_fewer_transactions_than_strided(self):
         params = CostParameters()
         coalesced = CostModel(params)
         strided = CostModel(params)
         for lane in range(32):
-            coalesced.record_access(self._warp_access(lane, lane * 8))
-            strided.record_access(self._warp_access(lane, lane * 8 * 64))
+            self._record(coalesced, lane * 8)
+            self._record(strided, lane * 8 * 64)
         assert (
             coalesced.finalize(1, 32).global_transactions
             < strided.finalize(1, 32).global_transactions
@@ -195,8 +197,8 @@ class TestCostModel:
         no_conflict = CostModel(params)
         conflict = CostModel(params)
         for lane in range(32):
-            no_conflict.record_access(self._warp_access(lane, lane * 4, space="shared"))
-            conflict.record_access(self._warp_access(lane, lane * 4 * 32, space="shared"))
+            self._record(no_conflict, lane * 4, space="shared")
+            self._record(conflict, lane * 4 * 32, space="shared")
         assert (
             conflict.finalize(1, 32).shared_cycles > no_conflict.finalize(1, 32).shared_cycles
         )
@@ -210,6 +212,23 @@ class TestCostModel:
 
     def test_accesses_at_different_slots_not_merged(self):
         model = CostModel()
-        model.record_access(self._warp_access(0, 0, slot=0))
-        model.record_access(self._warp_access(0, 0, slot=1))
+        self._record(model, 0, slot=0)
+        self._record(model, 0, slot=1)
         assert model.finalize(1, 32).global_transactions == 2
+
+    def test_scalar_accesses_retain_only_distinct_segments(self):
+        # 2,000 slots of one full warp at consecutive 8-byte addresses: each
+        # slot's 256 bytes span two segments.  Memory must grow with the
+        # groups' distinct segments, not with the 64,000 accesses.
+        model = CostModel()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for slot in range(2000):
+                for lane in range(32):
+                    self._record(model, (slot * 32 + lane) * 8, slot=slot)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert model.finalize(1, 32).global_transactions == 4000
+        assert retained / 64000 < 40

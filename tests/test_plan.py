@@ -4,7 +4,7 @@ Covers the tentpole guarantees of `repro.descend.plan`:
 
 * the lowering emits *pure data* — frozen dataclass ops over a slot table,
   no embedded callables — so plans pickle and round-trip exactly;
-* the optimization passes (fold-nats, fuse-arith, dead-slots) change the
+* the optimization passes (fuse-arith, dead-slots) change the
   op program but never the observable execution (cycles, buffers);
 * the disassembler is deterministic, and the checked-in golden IR dumps of
   the Figure 8 programs make IR changes reviewable diffs
@@ -174,13 +174,22 @@ class TestSerialization:
 
 
 class TestOptimizePasses:
-    def test_fold_nats_resolves_closed_bounds(self):
-        plan = lower_device_plan(_doubler_with_nat_expr().fun("doubler"))
+    def test_closed_nat_view_argument_runs_unfolded(self):
+        prog = _doubler_with_nat_expr()
+        plan = compile_device_plan(prog.fun("doubler"))
         assert "group::<(8 * 4)>" in disassemble(plan)
-        optimized, detail = optimize_plan(plan)
-        # Two folds: the read and the store each carry the view's nat arg.
-        assert "fold-nats:2" in detail
-        assert "group::<32>" in disassemble(optimized)
+        data = np.arange(64, dtype=np.float64)
+        runs = {}
+        for engine in ("reference", "vectorized"):
+            device = GpuDevice(execution_mode=engine)
+            buf = device.to_device(data)
+            kernel = DescendKernel(prog, "doubler")
+            kernel._plan_source_entry = (generate_plan_source(plan), None)
+            launch = kernel.launch(device, {"vec": buf})
+            assert launch.execution_mode == engine
+            runs[engine] = (launch.cycles, device.to_host(buf))
+        assert runs["vectorized"][0] == runs["reference"][0]
+        assert np.array_equal(runs["vectorized"][1], runs["reference"][1])
 
     def test_dead_slots_removes_unused_pure_ops(self):
         elem = var("vec").view("group", 32).select("block").select("thread")
@@ -437,7 +446,7 @@ class TestEngineDifferential:
                     device.to_device(np.zeros(shape)) if shape else 1.0
                 )
             kernel = DescendKernel(prog, fun_def.name)
-            launch = kernel.launch(device, args, detect_races=True)
+            launch = kernel.launch(device, args)
             assert launch.execution_mode == engine, kernel.fallback_reason
             results[engine] = [_normalized(r) for r in launch.races]
         assert results["jit"], "expected the racy program to race"
@@ -492,7 +501,7 @@ class TestNestedDivergence:
                 device = GpuDevice(execution_mode=engine)
                 buf = device.to_device(np.arange(64, dtype=np.float64))
                 kernel = DescendKernel(prog, "nested_ifs")
-                launch = kernel.launch(device, {"vec": buf}, detect_races=True)
+                launch = kernel.launch(device, {"vec": buf})
                 assert launch.execution_mode == engine, kernel.fallback_reason
                 results[engine] = (
                     launch.cycles,

@@ -401,8 +401,8 @@ class CompileSession:
         if digest is not None:
             label = "failure" if isinstance(entry, DescendError) else artifact.label
             # Single writer per process: concurrent threads take turns, so the
-            # store's index read-modify-write and its touch batching only ever
-            # see one in-process mutator (the flock covers other processes).
+            # store's cached index table and its touch batching only ever see
+            # one in-process mutator (the flock covers other processes).
             with self._lock:
                 self.store.store(digest, entry, kind=label)
         return entry

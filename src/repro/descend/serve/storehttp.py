@@ -22,8 +22,9 @@ Wire protocol (version ``v1``, all paths prefixed ``/v1``):
 ``GET /v1/index``      ``{"rev": N, "entries": {...}|null}`` — ``null`` marks
                        a corrupt index the client should rebuild from blobs.
 ``PUT /v1/index``      Body ``{"expect_rev": N, "entries": {...}}`` — the
-                       rev-guarded compare-and-swap: 204 on success, 409 if
-                       the rev moved (the client re-reads and retries).
+                       rev-guarded compare-and-swap: 204 on success (the
+                       server writes the table as a new index snapshot),
+                       409 if the rev moved (the client re-reads and retries).
 ``POST /v1/maintain``  Body ``{"tmp_stale_s", "quarantine_age_s"}`` — run
                        the stray/tmp/quarantine sweeps server-side (gc).
 ``POST /v1/clear``     Delete every blob (layout and schema stay).

@@ -7,9 +7,10 @@ blobs and the index actually live.  A :class:`StoreBackend` exposes the
 five primitive surfaces the policy layer needs:
 
 * blob get/put/delete (content-addressed, so puts are idempotent),
-* index read / compare-and-swap (a monotonically increasing ``rev``
-  guards every swap, giving lock-free readers and a bounded optimistic
-  read-modify-write loop for writers),
+* index read / compare-and-swap / update (a monotonically increasing
+  ``rev`` guards every swap; an update hands the policy layer an
+  :class:`IndexTable` to change in place, and the backend persists the
+  change),
 * blob listing (index rebuild + gc reconcile),
 * maintenance sweeps (stale tmp files, aged-out quarantine),
 * a ``stat`` handshake (format + schema fingerprint) so a client can
@@ -19,13 +20,13 @@ five primitive surfaces the policy layer needs:
 Two implementations ship:
 
 :class:`LocalDirBackend`
-    The PR 4 on-disk layout, byte-for-byte: ``objects/ab/<digest>``
-    blobs, ``tempfile + os.replace`` atomic writes staged under ``tmp/``,
-    and an ``fcntl.flock`` on ``<root>/lock``.  It overrides
-    :meth:`StoreBackend.index_update` with a flock-held
-    read-modify-write, so the multi-process concurrency story (and the
-    ``store.index.flock`` fault seam) is exactly the one the concurrent
-    writer tests have always exercised.
+    A directory: ``objects/ab/<digest>`` blobs, ``tempfile + os.replace``
+    atomic writes staged under ``tmp/``, an ``fcntl.flock`` on
+    ``<root>/lock``, and an index kept as a snapshot plus an append-only
+    log.  It overrides :meth:`StoreBackend.index_update` so that, under the
+    flock, a change appends one line to the log instead of rewriting the
+    whole index (the ``store.index.flock`` and ``store.index.append``
+    fault seams sit on this path).
 
 :class:`HttpBackend`
     A thin HTTP/1.1 client (stdlib ``http.client``, keep-alive) for the
@@ -50,7 +51,7 @@ import tempfile
 import time
 import urllib.parse
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro import faults
 from repro.descend.store.fingerprint import STORE_FORMAT
@@ -61,6 +62,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 __all__ = [
+    "IndexTable",
     "StoreBackend",
     "LocalDirBackend",
     "HttpBackend",
@@ -75,6 +77,11 @@ HTTP_PROTOCOL_VERSION = 1
 MAX_HTTP_BODY_BYTES = 64 * 1024 * 1024
 
 
+def _log_header(gen: str) -> bytes:
+    """The first line of an index log that continues snapshot ``gen``."""
+    return json.dumps({"gen": gen}, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def is_store_url(location: object) -> bool:
     """Whether ``location`` names a remote HTTP store rather than a directory."""
     return str(location).startswith(("http://", "https://"))
@@ -85,6 +92,121 @@ def backend_for(location: os.PathLike | str, schema: str) -> "StoreBackend":
     if is_store_url(location):
         return HttpBackend(str(location), schema)
     return LocalDirBackend(Path(location), schema)
+
+
+def _sanitize_entries(raw: object) -> Optional[Dict[str, Dict[str, object]]]:
+    """Field-by-field validation of a parsed entry table, ``None`` if unusable.
+
+    A JSON-valid index with wrong-typed fields (hand edits, foreign tools)
+    must degrade like any other corruption, not raise ``ValueError`` out of
+    the numeric conversions downstream (eviction sorts, size sums)."""
+    if not isinstance(raw, dict):
+        return None
+    entries: Dict[str, Dict[str, object]] = {}
+    for digest, entry in raw.items():
+        if not (isinstance(digest, str) and LocalDirBackend._is_digest(digest)):
+            continue
+        if not isinstance(entry, dict):
+            continue
+        try:
+            entries[digest] = {
+                "size": int(entry.get("size", 0)),
+                "used": float(entry.get("used", 0.0)),
+                "kind": str(entry.get("kind", "artifact")),
+            }
+        except (TypeError, ValueError):
+            entries[digest] = {"size": 0, "used": 0.0, "kind": "artifact"}
+    if not entries and raw:
+        return None
+    return entries
+
+
+class IndexTable:
+    """A store index in memory: its sanitized entries, ``rev``, the running
+    total of entry sizes, and the change the current update makes.
+
+    ``entries`` is ``None`` while the index is unusable (unreadable, or a
+    malformed log line); the policy layer then rebuilds it from the blobs
+    with :meth:`replace`.  :meth:`put`, :meth:`drop` and :meth:`stamp` keep
+    ``total`` equal to the sum of the entry sizes and record a delta that
+    :meth:`change` encodes as one log record; after :meth:`replace` the
+    backend rewrites the whole table instead.
+    """
+
+    __slots__ = ("entries", "rev", "total", "replaced", "_put", "_drop", "_used")
+
+    def __init__(self, entries: Optional[Dict[str, Dict[str, object]]], rev: int) -> None:
+        self.rev = rev
+        self.replace(entries)
+        self.begin()
+
+    def begin(self) -> None:
+        """Start recording the change of one update."""
+        self.replaced = False
+        self._put: Dict[str, Dict[str, object]] = {}
+        self._drop: Set[str] = set()
+        self._used: Dict[str, float] = {}
+
+    def replace(self, entries: Optional[Dict[str, Dict[str, object]]]) -> None:
+        self.entries = entries
+        self.total = sum(entry["size"] for entry in entries.values()) if entries else 0
+        self.replaced = True
+
+    def put(self, digest: str, size: int, used: float, kind: str) -> None:
+        old = self.entries.get(digest)
+        if old is not None:
+            self.total -= old["size"]
+        entry = {"size": size, "used": used, "kind": kind}
+        self.entries[digest] = entry
+        self.total += size
+        self._put[digest] = entry
+        self._drop.discard(digest)
+        self._used.pop(digest, None)
+
+    def drop(self, digest: str) -> None:
+        entry = self.entries.pop(digest, None)
+        if entry is None:
+            return
+        self.total -= entry["size"]
+        self._put.pop(digest, None)
+        self._used.pop(digest, None)
+        self._drop.add(digest)
+
+    def stamp(self, digest: str, used: float) -> None:
+        """Raise an entry's last-used stamp (absent entries are ignored)."""
+        entry = self.entries.get(digest)
+        if entry is not None and used > entry["used"]:
+            entry["used"] = used
+            if digest not in self._put:  # a put records its entry's final stamp
+                self._used[digest] = used
+
+    def change(self) -> Dict[str, object]:
+        """The recorded delta as one log record (empty if nothing changed)."""
+        record: Dict[str, object] = {}
+        if self._put:
+            record["put"] = self._put
+        if self._drop:
+            record["drop"] = sorted(self._drop)
+        if self._used:
+            record["used"] = self._used
+        return record
+
+    def apply(self, record: object) -> bool:
+        """Replay one log record; ``False`` if it is malformed."""
+        if not isinstance(record, dict):
+            return False
+        put, drop, used = record.get("put", {}), record.get("drop", []), record.get("used", {})
+        if not (isinstance(put, dict) and isinstance(drop, list) and isinstance(used, dict)):
+            return False
+        for digest, entry in (_sanitize_entries(put) or {}).items():
+            self.put(digest, **entry)
+        for digest in drop:
+            if isinstance(digest, str):
+                self.drop(digest)
+        for digest, stamp in used.items():
+            if isinstance(stamp, (int, float)):
+                self.stamp(digest, float(stamp))
+        return True
 
 
 class StoreBackend:
@@ -102,6 +224,8 @@ class StoreBackend:
     * ``index_swap`` returns ``False`` (not an exception) when the rev
       moved underneath the caller; everything else that fails raises
       :class:`OSError`.
+    * Entries are sanitized where their bytes are parsed: ``index_read``
+      hands back ``{digest: {"size": int, "used": float, "kind": str}}``.
     """
 
     #: Human-readable backend family (``local-dir`` / ``http``), surfaced
@@ -142,21 +266,22 @@ class StoreBackend:
     def index_swap(self, expect_rev: int, entries: Dict[str, object]) -> bool:
         raise NotImplementedError
 
-    def index_update(
-        self, mutate: Callable[[Optional[Dict[str, object]]], Dict[str, object]]
-    ) -> Dict[str, object]:
-        """Atomically apply ``mutate`` to the entry table.
+    def index_update(self, mutate: Callable[[IndexTable], None]) -> IndexTable:
+        """Atomically apply ``mutate`` to the index; the updated table.
 
-        The default is an optimistic CAS loop over read + swap — correct
+        ``mutate`` changes the :class:`IndexTable` it is handed in place
+        (its ``entries`` are ``None`` if the index is unusable).  The
+        default is an optimistic CAS loop over read + swap — correct
         against any number of concurrent writers as long as swaps are
-        rev-guarded.  Backends with a cheaper native mutual exclusion
-        (:class:`LocalDirBackend`'s flock) override this.
+        rev-guarded.  :class:`LocalDirBackend` overrides it to append the
+        change to its log under the flock.
         """
         for _ in range(self.INDEX_UPDATE_ATTEMPTS):
-            rev, raw = self.index_read()
-            entries = mutate(raw)
-            if self.index_swap(rev, entries):
-                return entries
+            rev, entries = self.index_read()
+            table = IndexTable(entries, rev)
+            mutate(table)
+            if self.index_swap(rev, table.entries):
+                return table
         raise OSError(
             f"index update lost {self.INDEX_UPDATE_ATTEMPTS} swap races at {self.location}"
         )
@@ -172,22 +297,41 @@ class StoreBackend:
 
 
 class LocalDirBackend(StoreBackend):
-    """The original on-disk store layout behind the backend interface.
+    """A store in a local directory, indexed by a snapshot plus a log.
 
     Layout under the root::
 
         <root>/
-            schema.json          # {"format": 1, "schema": "<fingerprint>"}
-            index.json           # {"rev": N, "entries": {digest: {...}}}
-            lock                 # fcntl advisory lock serializing index writes
+            schema.json          # {"format": 2, "schema": "<fingerprint>"}
+            index.json           # snapshot: {"gen": G, "rev": N, "entries": {digest: {...}}}
+            index.log            # header {"gen": G}, then one JSON record per index change
+            lock                 # fcntl advisory lock serializing index reads and writes
             objects/ab/abcdef…   # one pickle blob per artifact, named by digest
             tmp/                 # in-flight atomic-write staging
             quarantine/          # corrupt blobs moved aside, aged out by gc
 
-    ``rev`` increments on every index write; :meth:`index_swap` lets a
-    lock-free caller (the HTTP endpoint serving remote clients) detect a
-    concurrent local writer, while local processes keep using the
-    flock-held :meth:`index_update` override.
+    The index is the snapshot with the log's records replayed over it: a
+    record puts entries, drops digests and raises LRU stamps, and each one
+    adds 1 to the snapshot's ``rev``.  Each backend keeps the replayed
+    table in memory.  Under the flock it reads only the log bytes appended
+    since its last read; it reloads the snapshot only when the log's header
+    names a generation ``G`` other than the one it read, which means
+    another process compacted (a random token, since a rewrite can reuse
+    an inode, a size or an mtime).  A change appends one record; a replaced
+    table (:meth:`index_swap`, gc, clear, a rebuild from the blobs) or a
+    log grown past the snapshot's size is compacted instead: a new
+    snapshot, then a new log, each written atomically under a new ``G``.
+    So a put costs O(1) amortized.
+
+    A last line without its newline is a writer killed mid-append: readers
+    skip it and the next writer truncates it.  A malformed complete line,
+    or an unreadable snapshot, makes the index unusable, and the policy
+    layer rebuilds it from the blobs.  A writer killed between the two
+    renames of a compaction leaves a snapshot that no log header names.  A
+    backend that reads it afresh takes the snapshot alone and compacts on
+    its next write; one that had read the old log may append to it until
+    then, and those entries drop out of the index (their blobs stay, and
+    gc adopts them).  Nothing is ``fsync``-ed.
     """
 
     kind = "local-dir"
@@ -196,6 +340,13 @@ class LocalDirBackend(StoreBackend):
         self.root = Path(root)
         self.schema = schema
         self.location = str(root)
+        # The index as of this backend's last read under the flock (None:
+        # not read yet), and where that read stopped in the log.
+        self._table: Optional[IndexTable] = None
+        self._header = b""  # the header line of the log the table follows
+        self._offset = 0  # log bytes replayed into the table: its complete lines
+        self._appendable = False  # the log continues the snapshot
+        self._snapshot_bytes = 0
 
     # -- layout ----------------------------------------------------------------
     @property
@@ -205,6 +356,10 @@ class LocalDirBackend(StoreBackend):
     @property
     def _index_path(self) -> Path:
         return self.root / "index.json"
+
+    @property
+    def _log_path(self) -> Path:
+        return self.root / "index.log"
 
     @property
     def _schema_path(self) -> Path:
@@ -235,7 +390,7 @@ class LocalDirBackend(StoreBackend):
         with self._locked():
             if not self._schema_matches():
                 self._wipe_objects_locked()
-                self._write_json(self._index_path, {"rev": 0, "entries": {}})
+                self._compact_locked(IndexTable({}, 0))
                 self._write_json(
                     self._schema_path,
                     {"format": STORE_FORMAT, "schema": self.schema},
@@ -270,8 +425,10 @@ class LocalDirBackend(StoreBackend):
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # -- atomic writes ---------------------------------------------------------
-    def _write_json(self, path: Path, payload: Dict[str, object]) -> None:
-        self._atomic_write(path, json.dumps(payload, indent=1).encode("utf-8"))
+    def _write_json(self, path: Path, payload: Dict[str, object]) -> int:
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        self._atomic_write(path, data)
+        return len(data)
 
     def _atomic_write(self, path: Path, data: bytes, is_blob: bool = False) -> None:
         self._tmp_dir.mkdir(parents=True, exist_ok=True)
@@ -340,43 +497,121 @@ class LocalDirBackend(StoreBackend):
         return blobs
 
     # -- index -----------------------------------------------------------------
-    def _read_index_nolock(self) -> Tuple[int, Optional[Dict[str, object]]]:
+    def _load_locked(self, header: bytes) -> None:
+        """Reset the cached table to the snapshot, read under log ``header``."""
+        rev, entries, gen, size = 0, None, None, 0
         try:
-            with open(self._index_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                return 0, None
-            rev = data.get("rev", 0)
+            data = self._index_path.read_bytes()
+            size = len(data)
+            snapshot = json.loads(data)
+        except (OSError, ValueError):
+            snapshot = None
+        if isinstance(snapshot, dict):
+            rev = snapshot.get("rev", 0)
             if not isinstance(rev, int) or rev < 0:
                 rev = 0
-            raw = data.get("entries")
-            return rev, (raw if isinstance(raw, dict) else None)
-        except (OSError, ValueError):
-            return 0, None
+            entries = _sanitize_entries(snapshot.get("entries"))
+            gen = snapshot.get("gen")
+        self._table = IndexTable(entries, rev)
+        self._header, self._offset, self._snapshot_bytes = header, len(header), size
+        self._appendable = (
+            entries is not None and isinstance(gen, str) and header == _log_header(gen)
+        )
+
+    def _sync_locked(self) -> IndexTable:
+        """The index as the files hold it now, no change recorded (flock held)."""
+        try:
+            with open(self._log_path, "rb") as handle:
+                header = handle.readline()
+                if self._table is None or header != self._header:
+                    self._load_locked(header)
+                handle.seek(self._offset)
+                tail = handle.read() if self._appendable else b""
+        except FileNotFoundError:
+            if self._table is None or self._header:
+                self._load_locked(b"")
+            tail = b""
+        end = tail.rfind(b"\n") + 1  # a torn last line stays unread
+        table = self._table
+        for line in tail[:end].splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not table.apply(record):
+                table.replace(None)
+                self._appendable = False
+                break
+            table.rev += 1
+        self._offset += end
+        table.begin()
+        return table
+
+    def _append_locked(self, record: Dict[str, object]) -> None:
+        line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+        rule = faults.maybe_raise("store.index.append")
+        with open(self._log_path, "ab") as handle:
+            handle.truncate(self._offset)  # drop a torn last line, if any
+            if rule is not None and rule.kind == "torn":
+                # A writer killed mid-append: half a line, no newline.  This
+                # backend rereads the index next time, as a new process would.
+                handle.write(line[: len(line) // 2])
+                self._table = None
+                return
+            handle.write(line)
+        self._offset += len(line)
+        self._table.rev += 1
+
+    def _compact_locked(self, table: IndexTable) -> None:
+        """Write ``table`` as a new snapshot and start an empty log after it."""
+        gen = os.urandom(8).hex()
+        size = self._write_json(
+            self._index_path, {"gen": gen, "rev": table.rev, "entries": table.entries}
+        )
+        header = _log_header(gen)
+        self._atomic_write(self._log_path, header)
+        self._table, self._header, self._offset = table, header, len(header)
+        self._snapshot_bytes, self._appendable = size, True
 
     def index_read(self) -> Tuple[int, Optional[Dict[str, object]]]:
         with self._locked():
-            return self._read_index_nolock()
+            table = self._sync_locked()
+            if table.entries is None:
+                return table.rev, None
+            return table.rev, {digest: dict(entry) for digest, entry in table.entries.items()}
 
     def index_swap(self, expect_rev: int, entries: Dict[str, object]) -> bool:
         with self._locked():
-            rev, _ = self._read_index_nolock()
-            if rev != expect_rev:
+            if self._sync_locked().rev != expect_rev:
                 return False
-            self._write_json(self._index_path, {"rev": rev + 1, "entries": entries})
+            self._commit_locked(lambda table: table.replace(_sanitize_entries(entries) or {}))
             return True
 
-    def index_update(
-        self, mutate: Callable[[Optional[Dict[str, object]]], Dict[str, object]]
-    ) -> Dict[str, object]:
-        # Flock-held read-modify-write: identical multi-process semantics to
-        # the pre-backend store (one lock acquisition per index mutation, no
-        # retry loop to exhaust under writer contention).
+    def index_update(self, mutate: Callable[[IndexTable], None]) -> IndexTable:
+        # Under the flock, so no retry loop to exhaust under contention.
         with self._locked():
-            rev, raw = self._read_index_nolock()
-            entries = mutate(raw)
-            self._write_json(self._index_path, {"rev": rev + 1, "entries": entries})
-            return entries
+            self._sync_locked()
+            return self._commit_locked(mutate)
+
+    def _commit_locked(self, mutate: Callable[[IndexTable], None]) -> IndexTable:
+        """Apply ``mutate`` to the synced table and persist its change: one
+        appended record, or a compaction after a replace."""
+        table = self._table
+        try:
+            mutate(table)
+            if table.replaced or not self._appendable:
+                table.rev += 1
+                self._compact_locked(table)
+                return table
+            record = table.change()
+            if record:
+                self._append_locked(record)
+                if self._table is table and self._offset > self._snapshot_bytes:
+                    self._compact_locked(table)
+        except BaseException:
+            self._table = None  # the cached table may be ahead of the files
+            raise
+        return table
 
     # -- maintenance -----------------------------------------------------------
     def maintain(self, tmp_stale_s: float, quarantine_age_s: float) -> None:
@@ -601,8 +836,7 @@ class HttpBackend(StoreBackend):
         rev = data.get("rev", 0)
         if not isinstance(rev, int) or rev < 0:
             rev = 0
-        raw = data.get("entries")
-        return rev, (raw if isinstance(raw, dict) else None)
+        return rev, _sanitize_entries(data.get("entries"))
 
     def index_swap(self, expect_rev: int, entries: Dict[str, object]) -> bool:
         body = json.dumps(

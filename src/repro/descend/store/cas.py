@@ -20,14 +20,18 @@ the layout and wire protocol); this class keeps the *policy*, unchanged:
   suite exercises these paths with real injected failures.
 
 * **Concurrency.**  Index mutations go through the backend's
-  ``index_update`` — a flock-held read-modify-write on a local directory,
-  a rev-guarded compare-and-swap loop against the daemon's single-writer
-  HTTP endpoint.  Blob reads take no lock (immutable names); a reader
-  racing an eviction simply misses.
+  ``index_update`` as deltas on its :class:`~repro.descend.store.backend.IndexTable`:
+  a put, a few LRU stamps, a dropped digest, or (gc, clear, a rebuild) a
+  replaced table.  A local directory appends the delta to its index log
+  under the flock and compacts a replaced table; the daemon's HTTP
+  endpoint takes a rev-guarded compare-and-swap of the whole table.  Blob
+  reads take no lock (immutable names); a reader racing an eviction
+  simply misses.
 
-* **Eviction.**  The index records a last-used stamp per entry; when the
-  store exceeds ``max_bytes``, least-recently-used entries are evicted
-  until it fits (:meth:`ArtifactStore.gc`, also run after every write).
+* **Eviction.**  The index records a last-used stamp per entry and keeps
+  a running total of entry sizes; when the total exceeds ``max_bytes``,
+  least-recently-used entries are evicted until it fits
+  (:meth:`ArtifactStore.gc`, also run after every write).
 
 * **Self-invalidation.**  The store pins the
   :func:`~repro.descend.store.fingerprint.pipeline_fingerprint` of the
@@ -43,9 +47,10 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.descend.store.backend import (
+    IndexTable,
     LocalDirBackend,
     StoreBackend,
     backend_for,
@@ -100,53 +105,6 @@ class ArtifactStore:
         return self.backend._object_path(digest)  # type: ignore[union-attr]
 
     # -- index policy ----------------------------------------------------------
-    @staticmethod
-    def _is_digest(name: str) -> bool:
-        return len(name) == 64 and all(c in "0123456789abcdef" for c in name)
-
-    def _sanitize_entries(
-        self, raw: Optional[Dict[str, object]]
-    ) -> Optional[Dict[str, Dict[str, object]]]:
-        """Field-by-field validation of a raw entry table, ``None`` if unusable.
-
-        A JSON-valid index with wrong-typed fields (hand edits, foreign
-        tools) must degrade like any other corruption, not raise
-        ``ValueError`` out of the numeric conversions downstream (eviction
-        sorts, size sums)."""
-        if not isinstance(raw, dict):
-            return None
-        entries: Dict[str, Dict[str, object]] = {}
-        for digest, entry in raw.items():
-            if not (isinstance(digest, str) and self._is_digest(digest)):
-                continue
-            if not isinstance(entry, dict):
-                continue
-            try:
-                entries[digest] = {
-                    "size": int(entry.get("size", 0)),
-                    "used": float(entry.get("used", 0.0)),
-                    "kind": str(entry.get("kind", "artifact")),
-                }
-            except (TypeError, ValueError):
-                entries[digest] = {"size": 0, "used": 0.0, "kind": "artifact"}
-        if not entries and raw:
-            return None
-        return entries
-
-    def _usable_entries(
-        self, raw: Optional[Dict[str, object]]
-    ) -> Dict[str, Dict[str, object]]:
-        """Sanitized entries (rebuilt from blobs if unusable), pending LRU
-        stamps applied."""
-        entries = self._sanitize_entries(raw)
-        if entries is None:
-            entries = self._rebuild_entries()
-        for digest, stamp in self._pending_touches.items():
-            entry = entries.get(digest)
-            if entry is not None and stamp > float(entry.get("used", 0.0)):
-                entry["used"] = stamp
-        return entries
-
     def _rebuild_entries(self) -> Dict[str, Dict[str, object]]:
         """Recover the entry table from the (authoritative) blob listing.
 
@@ -165,24 +123,36 @@ class ArtifactStore:
         return entries
 
     def _read_entries(self) -> Dict[str, Dict[str, object]]:
-        _, raw = self.backend.index_read()
-        return self._usable_entries(raw)
+        _, entries = self.backend.index_read()
+        return entries if entries is not None else self._rebuild_entries()
 
-    def _evict_over_budget(
-        self, entries: Dict[str, Dict[str, object]], keep: Optional[str] = None
-    ) -> None:
+    def _update(self, change: Optional[Callable[[IndexTable], None]] = None) -> IndexTable:
+        """One index update: rebuild an unusable table from the blobs, apply
+        the pending LRU stamps, then ``change``.  Raises :class:`OSError`."""
+
+        def mutate(table: IndexTable) -> None:
+            if table.entries is None:
+                table.replace(self._rebuild_entries())
+            for digest, stamp in self._pending_touches.items():
+                table.stamp(digest, stamp)
+            if change is not None:
+                change(table)
+
+        table = self.backend.index_update(mutate)
+        self._pending_touches.clear()
+        return table
+
+    def _evict_over_budget(self, table: IndexTable, keep: Optional[str] = None) -> None:
         """Drop least-recently-used entries until the store fits its budget."""
-        total = sum(int(entry.get("size", 0)) for entry in entries.values())
-        if total <= self.max_bytes:
+        if table.total <= self.max_bytes:
             return
-        by_age = sorted(entries, key=lambda d: float(entries[d].get("used", 0.0)))
-        for digest in by_age:
-            if total <= self.max_bytes:
+        entries = table.entries
+        for digest in sorted(entries, key=lambda d: entries[d]["used"]):
+            if table.total <= self.max_bytes:
                 break
             if digest == keep:
                 continue
-            total -= int(entries[digest].get("size", 0))
-            del entries[digest]
+            table.drop(digest)
             try:
                 self.backend.blob_delete(digest)
             except OSError:  # pragma: no cover - eviction is best-effort
@@ -228,19 +198,16 @@ class ArtifactStore:
             return False  # unpicklable artifacts simply stay in-memory-only
         stamp = time.time()
 
-        def add_entry(raw: Optional[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
-            entries = self._usable_entries(raw)
-            entries[digest] = {"size": len(blob), "used": stamp, "kind": kind}
-            self._evict_over_budget(entries, keep=digest)
-            return entries
+        def add_entry(table: IndexTable) -> None:
+            table.put(digest, len(blob), stamp, kind)
+            self._evict_over_budget(table, keep=digest)
 
         try:
             self.backend.blob_put(digest, blob)
-            self.backend.index_update(add_entry)
+            self._update(add_entry)
         except OSError:
             self.errors += 1
             return False
-        self._pending_touches.clear()
         self.writes += 1
         return True
 
@@ -252,11 +219,11 @@ class ArtifactStore:
     def _touch(self, digest: str) -> None:
         """Refresh the LRU stamp of a hit.
 
-        Stamps are batched in memory and merged into the index by every
-        index write (:meth:`_usable_entries` applies them, a successful
-        update clears them), so a warm process does one index rewrite on
-        its first hit — which also heals a corrupted index — and then one
-        per :data:`TOUCH_FLUSH_PENDING` loads, instead of one per load.
+        Stamps are batched in memory and applied by every index update
+        (:meth:`_update`; a successful update clears them), so a warm
+        process writes the index on its first hit — which also heals a
+        corrupted index — and then once per :data:`TOUCH_FLUSH_PENDING`
+        loads, instead of once per load.
         """
         self._pending_touches[digest] = time.time()
         if not self._touch_flushed or len(self._pending_touches) >= self.TOUCH_FLUSH_PENDING:
@@ -264,11 +231,10 @@ class ArtifactStore:
 
     def _flush_touches(self) -> None:
         try:
-            self.backend.index_update(self._usable_entries)
+            self._update()
         except OSError:
             self.errors += 1
             return
-        self._pending_touches.clear()
         self._touch_flushed = True
 
     def _quarantine(self, digest: str) -> None:
@@ -287,17 +253,10 @@ class ArtifactStore:
         self._drop_entry(digest)
 
     def _drop_entry(self, digest: str) -> None:
-        def remove(raw: Optional[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
-            entries = self._usable_entries(raw)
-            entries.pop(digest, None)
-            return entries
-
         try:
-            self.backend.index_update(remove)
+            self._update(lambda table: table.drop(digest))
         except OSError:  # pragma: no cover
             self.errors += 1
-            return
-        self._pending_touches.clear()
 
     def quarantine_entries(self) -> int:
         """How many poisoned blobs are currently parked in quarantine."""
@@ -324,29 +283,21 @@ class ArtifactStore:
             quarantine_age_s = self.TMP_STALE_S
         self.backend.maintain(self.TMP_STALE_S, max(0.0, float(quarantine_age_s)))
 
-        def reconcile(raw: Optional[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
-            entries = self._usable_entries(raw)
+        def reconcile(table: IndexTable) -> None:
             on_disk = self._rebuild_entries()
-            for digest in list(entries):
-                if digest not in on_disk:
-                    del entries[digest]
             for digest, entry in on_disk.items():
-                if digest not in entries:
-                    entries[digest] = entry
-                else:
-                    entries[digest]["size"] = entry["size"]
-            self._evict_over_budget(entries)
-            return entries
+                known = table.entries.get(digest)
+                if known is not None:
+                    entry["used"], entry["kind"] = known["used"], known["kind"]
+            table.replace(on_disk)
+            self._evict_over_budget(table)
 
-        entries = self.backend.index_update(reconcile)
-        self._pending_touches.clear()
-        return self._summary(entries)
+        return self._summary(self._update(reconcile).entries)
 
     def clear(self) -> None:
         """Delete every artifact (the layout and schema stay in place)."""
         self.backend.wipe()
-        self.backend.index_update(lambda raw: {})
-        self._pending_touches.clear()
+        self._update(lambda table: table.replace({}))
 
     def digests(self, kind: Optional[str] = None) -> Tuple[str, ...]:
         """The digests currently indexed, optionally filtered by artifact kind.
@@ -361,13 +312,7 @@ class ArtifactStore:
             return ()
         if kind is None:
             return tuple(sorted(entries))
-        return tuple(
-            sorted(
-                digest
-                for digest, entry in entries.items()
-                if str(entry.get("kind", "artifact")) == kind
-            )
-        )
+        return tuple(sorted(digest for digest, entry in entries.items() if entry["kind"] == kind))
 
     def stats(self) -> Dict[str, object]:
         entries = self._read_entries()
@@ -386,17 +331,16 @@ class ArtifactStore:
     def _summary(self, entries: Dict[str, Dict[str, object]]) -> Dict[str, object]:
         kinds: Dict[str, Dict[str, int]] = {}
         for entry in entries.values():
-            kind = str(entry.get("kind", "artifact"))
-            bucket = kinds.setdefault(kind, {"count": 0, "bytes": 0})
+            bucket = kinds.setdefault(entry["kind"], {"count": 0, "bytes": 0})
             bucket["count"] += 1
-            bucket["bytes"] += int(entry.get("size", 0))
+            bucket["bytes"] += entry["size"]
         return {
             "root": str(self.root),
             "backend": self.backend.kind,
             "format": STORE_FORMAT,
             "schema": self.schema[:16],
             "entries": len(entries),
-            "total_bytes": sum(int(entry.get("size", 0)) for entry in entries.values()),
+            "total_bytes": sum(bucket["bytes"] for bucket in kinds.values()),
             "max_bytes": self.max_bytes,
             "kinds": kinds,
         }

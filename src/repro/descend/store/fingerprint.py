@@ -27,7 +27,7 @@ from pathlib import Path
 
 #: Bumped when the *layout* of the store itself changes (index format,
 #: object naming), independently of compiler changes.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 
 @lru_cache(maxsize=1)

@@ -60,6 +60,7 @@ SITES = frozenset(
         "store.blob.write",
         "store.blob.rename",
         "store.index.flock",
+        "store.index.append",
         "store.http.get",
         "store.http.put",
         "serve.conn.read",
@@ -76,7 +77,8 @@ SITES = frozenset(
 #:
 #: ``oserror``  raise :class:`repro.faults.InjectedOSError` at the seam
 #: ``exc``      raise :class:`repro.faults.InjectedError` at the seam
-#: ``torn``     truncate the bytes in flight (blob writes/reads, responses)
+#: ``torn``     truncate the bytes in flight (blob writes/reads, index
+#:              log appends, responses)
 #: ``drop``     close the connection without (fully) answering
 #: ``crash``    hard-kill the process (``os._exit``) — sweep workers only
 KINDS = frozenset({"oserror", "exc", "torn", "drop", "crash"})

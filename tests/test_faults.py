@@ -4,7 +4,8 @@ Covers the `repro.faults` registry itself (grammar, determinism, the epoch
 mechanism) and then drives injected failures through every hardened seam:
 
 * store: torn writes quarantine-then-heal, transient read errors degrade to
-  misses, a chaos-ridden warm store still reproduces byte-identical output;
+  misses, a chaos-ridden warm store still reproduces byte-identical output,
+  torn index log appends are skipped and then truncated by the next write;
 * serve: dropped/torn responses are healed by the client's retry loop, an
   exploding executor answers a structured error and the daemon stays up,
   queued-out requests honor their ``deadline_ms``;
@@ -13,6 +14,7 @@ mechanism) and then drives injected failures through every hardened seam:
   ``retries``; a worker that fails at start-up is respawned one epoch on.
 """
 
+import json
 import socket as socket_module
 import threading
 import time
@@ -32,7 +34,7 @@ from repro.descend.api import (
 )
 from repro.descend.driver import CompilerDriver, CompileSession
 from repro.descend.serve import ServeConfig, ServerThread
-from repro.descend.store import ArtifactStore
+from repro.descend.store import ArtifactStore, LocalDirBackend
 from repro.faults import (
     FaultRegistry,
     FaultSpecError,
@@ -202,6 +204,49 @@ class TestStoreChaos:
         chaotic = cuda_of(CompileSession(label="chaos").attach_store(chaos_store))
         assert chaotic == baseline
         assert chaos_store.quarantined > 0  # the faults really fired
+
+    def test_torn_index_append_keeps_output_and_next_write_heals(
+        self, tmp_path, monkeypatch
+    ):
+        """Every index log append of a warm session cut short mid-line (a
+        writer killed mid-append): the next session serves byte-identical
+        CUDA from the store, and its first write truncates the torn line."""
+        root = tmp_path / "store"
+        log = root / "index.log"
+
+        def cuda_of(session):
+            compiled = CompilerDriver(session).compile_source(DOUBLER, name="d.descend")
+            return compiled.to_cuda().full_source()
+
+        baseline = cuda_of(CompileSession(label="fill").attach_store(ArtifactStore(root)))
+        _, indexed = LocalDirBackend(root, ArtifactStore(root).schema).index_read()
+        monkeypatch.setenv(faults.ENV_SPEC, "store.index.append:kind=torn,p=1.0")
+        assert cuda_of(CompileSession(label="torn").attach_store(ArtifactStore(root))) == baseline
+        assert faults.report()["fired"]["store.index.append:torn"] >= 1
+        assert not log.read_bytes().endswith(b"\n")  # the torn line is on disk
+
+        monkeypatch.delenv(faults.ENV_SPEC)
+        store = ArtifactStore(root)
+        session = CompileSession(label="next").attach_store(store)
+        assert cuda_of(session) == baseline
+        assert session.misses == 0 and store.errors == 0
+        healed = log.read_bytes()
+        assert healed.endswith(b"\n")
+        for line in healed.splitlines():
+            json.loads(line)
+        _, entries = LocalDirBackend(root, store.schema).index_read()
+        assert set(entries) == set(indexed)
+
+    def test_index_append_oserror_degrades_store_to_false(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        assert store.store("01" * 32, "first")
+        monkeypatch.setenv(faults.ENV_SPEC, "store.index.append:kind=oserror,nth=1")
+        assert store.store("ef" * 32, "x") is False  # the append refused: no write
+        assert store.errors == 1
+        assert faults.report()["fired"] == {"store.index.append:oserror": 1}
+        assert store.store("ef" * 32, "x") is True
+        assert store.load("ef" * 32) == "x"
+        assert store.digests() == ("01" * 32, "ef" * 32)
 
 
 class TestServeChaos:

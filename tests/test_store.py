@@ -22,7 +22,12 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.descend.driver import CompilerDriver, CompileSession
-from repro.descend.store import STORE_FORMAT, ArtifactStore, pipeline_fingerprint
+from repro.descend.store import (
+    STORE_FORMAT,
+    ArtifactStore,
+    LocalDirBackend,
+    pipeline_fingerprint,
+)
 from repro.descend_programs import reduce as d_reduce
 from repro.errors import DescendTypeError
 
@@ -175,7 +180,7 @@ class TestRobustness:
         warm = _warm_session(root)
         _compile_everything(warm)
         assert warm.misses == 0  # blobs are authoritative; entries recovered
-        entries = json.loads((root / "index.json").read_text())["entries"]
+        _, entries = LocalDirBackend(root, warm.store.schema).index_read()
         assert len(entries) == len(self._blobs(root))
 
     def test_hostile_envelope_shape_is_ignored(self, tmp_path):
@@ -278,7 +283,7 @@ class TestRobustness:
             assert worker.returncode == 0, stderr.decode()
 
         store = ArtifactStore(root)
-        entries = json.loads((root / "index.json").read_text())["entries"]
+        _, entries = LocalDirBackend(root, store.schema).index_read()
         # 6 distinct programs (ranges 0..3 and 2..5 overlap on 2) × 2 kinds.
         assert len(entries) == 12
         assert store.stats()["total_bytes"] > 0
@@ -399,10 +404,12 @@ class TestEviction:
         root = tmp_path / "store"
         store = ArtifactStore(root)
         store.store("aa" * 32, {"x": 1})
+        junk = {"used": "yesterday", "size": "big"}  # hand-edited junk
         index = json.loads((root / "index.json").read_text())
-        index["entries"]["aa" * 32]["used"] = "yesterday"  # hand-edited junk
-        index["entries"]["aa" * 32]["size"] = "big"
+        index["entries"]["aa" * 32] = junk
         (root / "index.json").write_text(json.dumps(index))
+        with open(root / "index.log", "a") as log:
+            log.write(json.dumps({"put": {"aa" * 32: junk}}) + "\n")
 
         fresh = ArtifactStore(root)
         assert fresh.load("aa" * 32) is not None  # no ValueError anywhere
@@ -415,6 +422,157 @@ class TestEviction:
         store.clear()
         assert store.stats()["entries"] == 0
         assert store.load("aa" * 32) is None
+
+
+def _put(backend, digest, size):
+    """One index update that puts a single entry."""
+    return backend.index_update(lambda table: table.put(digest, size, 1.0, "plan"))
+
+
+def _log_header(root):
+    return (root / "index.log").read_bytes().split(b"\n", 1)[0]
+
+
+class TestIndexLog:
+    """The local index is a snapshot plus an append-only log."""
+
+    def _filled(self, root, count=8):
+        store = ArtifactStore(root)
+        for n in range(count):
+            assert store.store(f"{n:02x}" * 32, b"z" * 100)
+        return store
+
+    def test_torn_last_line_is_skipped_and_not_glued_onto(self, tmp_path):
+        root = tmp_path / "store"
+        store = self._filled(root)
+        log = root / "index.log"
+        whole = log.read_bytes()
+        with open(log, "ab") as handle:  # a writer killed mid-append
+            handle.write(b'{"put":{"' + b"ff" * 32)
+        _, entries = LocalDirBackend(root, store.schema).index_read()
+        assert sorted(entries) == [f"{n:02x}" * 32 for n in range(8)]
+
+        assert store.store("ee" * 32, b"next")
+        healed = log.read_bytes()
+        assert healed.startswith(whole)  # appended, not compacted
+        assert healed.endswith(b"\n") and b"ff" * 32 not in healed
+        for line in healed.splitlines():
+            json.loads(line)  # every line whole: the put did not glue on
+        _, entries = LocalDirBackend(root, store.schema).index_read()
+        assert "ee" * 32 in entries and len(entries) == 9
+
+    def test_malformed_middle_line_rebuilds_from_the_blobs(self, tmp_path):
+        root = tmp_path / "store"
+        store = self._filled(root)
+        assert store.store("ee" * 32, b"next")
+        lines = (root / "index.log").read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 2  # the header and at least one record
+        lines.insert(1, b"{not json}\n")
+        (root / "index.log").write_bytes(b"".join(lines))
+        _, entries = LocalDirBackend(root, store.schema).index_read()
+        assert entries is None  # unusable, not silently shortened
+
+        fresh = ArtifactStore(root)
+        assert fresh.load("ee" * 32) == b"next"  # the hit's LRU flush heals
+        _, entries = LocalDirBackend(root, store.schema).index_read()
+        blobs = {path.name for path in (root / "objects").rglob("*") if path.is_file()}
+        assert set(entries) == blobs and len(blobs) == 9
+
+    def test_two_backends_alternate_across_compactions(self, tmp_path):
+        root = tmp_path / "store"
+        first = LocalDirBackend(root, "s")
+        first.ensure_ready()
+        second = LocalDirBackend(root, "s")
+        headers = set()
+        for n in range(40):
+            _put((first, second)[n % 2], f"{n:064x}", n)
+            headers.add(_log_header(root))
+            fresh = LocalDirBackend(root, "s").index_read()
+            assert first.index_read() == fresh
+            assert second.index_read() == fresh
+        assert len(headers) >= 3  # several compactions
+
+        # A compaction by the other backend that leaves the snapshot the
+        # same size must still be seen.
+        rev, _ = first.index_read()
+        assert first.index_swap(rev, {"aa" * 32: {"size": 1, "used": 0.5, "kind": "plan"}})
+        assert second.index_read()[0] == rev + 1
+        size = (root / "index.json").stat().st_size
+        table = {"bb" * 32: {"size": 2, "used": 1.5, "kind": "cuda"}}
+        assert second.index_swap(rev + 1, table)
+        assert (root / "index.json").stat().st_size == size
+        assert first.index_read() == (rev + 2, table)
+        assert LocalDirBackend(root, "s").index_read() == (rev + 2, table)
+
+    def test_rev_strictly_increases_and_guards_swaps(self, tmp_path):
+        root = tmp_path / "store"
+        backend = LocalDirBackend(root, "s")
+        backend.ensure_ready()
+        revs = [backend.index_read()[0]]
+        headers = [_log_header(root)]
+        for n in range(30):
+            _put(backend, f"{n:064x}", 10)
+            revs.append(backend.index_read()[0])
+            headers.append(_log_header(root))
+        assert all(later > earlier for earlier, later in zip(revs, revs[1:]))
+        compactions = sum(a != b for a, b in zip(headers, headers[1:]))
+        assert 2 <= compactions < 30  # both appends and compactions happened
+
+        stale, _ = backend.index_read()
+        header = _log_header(root)
+        _put(LocalDirBackend(root, "s"), "ee" * 32, 1)
+        assert _log_header(root) == header  # that update was an append
+        assert not backend.index_swap(stale, {})
+        assert "ee" * 32 in backend.index_read()[1]
+
+    def test_more_writers_than_cores_lose_no_update(self, tmp_path):
+        """Four processes append to one log at once, across compactions:
+        every put survives and ``rev`` counts every update exactly once."""
+        root = tmp_path / "store"
+        LocalDirBackend(root, "stress").ensure_ready()
+        script = (
+            "import sys\n"
+            "from repro.descend.store import ArtifactStore\n"
+            "store = ArtifactStore(sys.argv[1], schema='stress')\n"
+            "for n in range(25):\n"
+            "    assert store.store(('%02x%02x' % (int(sys.argv[2]), n)) * 16, n)\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(root), str(worker)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            for worker in range(4)
+        ]
+        for worker in workers:
+            _, stderr = worker.communicate(timeout=120)
+            assert worker.returncode == 0, stderr.decode()
+        rev, entries = LocalDirBackend(root, "stress").index_read()
+        assert len(entries) == 100
+        assert rev == 100
+
+    def test_running_total_tracks_puts_evictions_and_gc(self, tmp_path):
+        root = tmp_path / "store"
+        store = ArtifactStore(root, max_bytes=5000)
+
+        def check():
+            table = store.backend.index_update(lambda table: None)
+            assert table.total == sum(entry["size"] for entry in table.entries.values())
+            on_disk = sum(p.stat().st_size for p in (root / "objects").rglob("*") if p.is_file())
+            assert table.total == on_disk
+            return table.total
+
+        for n in range(12):
+            assert store.store(f"{n:02x}" * 32, b"z" * 1000)
+            assert check() <= 5000
+        assert store.evictions > 0
+        (root / "objects" / "0b" / ("0b" * 32)).unlink()  # a dangling entry
+        assert store.gc(max_bytes=2500)["total_bytes"] == check() <= 2500
 
 
 class TestCacheCli:

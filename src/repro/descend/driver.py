@@ -770,13 +770,14 @@ class CompilerDriver:
     @staticmethod
     def _parse(session: CompileSession, text: str, name: str, key: Optional[object]) -> object:
         start = time.perf_counter()
+        source = SourceFile(text, name)
         try:
-            program = parse_program(text, name)
+            program = parse_program(source)
         except DescendError as exc:
             session.record_compute(name, PASS_PARSE, start)
             return _detach_failure(exc)
         session.record_compute(name, PASS_PARSE, start)
-        return CompilerDriver._typecheck(session, program, SourceFile(text, name), key, name)
+        return CompilerDriver._typecheck(session, program, source, key, name)
 
     @staticmethod
     def _typecheck(

@@ -6,8 +6,8 @@ flow through the identical type checking / code generation / interpretation
 pipeline.
 """
 
-from repro.descend.frontend.lexer import Lexer, tokenize
-from repro.descend.frontend.parser import Parser, parse_program
-from repro.descend.frontend.tokens import Token, TokenKind
+from repro.descend.frontend.lexer import tokenize
+from repro.descend.frontend.parser import parse_program
+from repro.descend.frontend.tokens import TokenKind
 
-__all__ = ["Lexer", "tokenize", "Parser", "parse_program", "Token", "TokenKind"]
+__all__ = ["tokenize", "parse_program", "TokenKind"]

@@ -1,138 +1,106 @@
-"""The Descend lexer."""
+"""The Descend lexer: one master regular expression over the whole file.
+
+:func:`tokenize` returns the tokens as four parallel lists — kind, text,
+start and end offset — padded with ``EOF`` entries.  It builds no object per
+token; the parser makes a :class:`~repro.descend.source.Span` only where an
+AST node or a diagnostic takes one.
+
+The lexical rules:
+
+* whitespace is space, tab, ``\\r`` and ``\\n``; ``//`` comments run to the
+  end of the line, and ``/* */`` comments do not nest;
+* digits are ASCII ``0-9`` only: ``[0-9]+`` is an integer and
+  ``[0-9]+.[0-9]+`` a float, so ``0..4`` lexes as ``0``, ``..``, ``4``;
+* an identifier starts with a character for which ``str.isalpha()`` is true,
+  or ``_``, and continues with ``str.isalnum()`` characters or ``_`` (the
+  characters ``\\w`` matches); keywords are identifiers;
+* two-character operators are matched before one-character ones;
+* any other character raises E0000 ``unexpected character``.
+"""
 
 from __future__ import annotations
 
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.descend.diagnostics import Diagnostic
-from repro.descend.frontend.tokens import Token, TokenKind
-from repro.descend.source import SourceFile
+from repro.descend.frontend.tokens import TokenKind
+from repro.descend.source import Span
 from repro.errors import DescendSyntaxError
 
-_TWO_CHAR = {
-    "::": TokenKind.COLONCOLON,
-    "..": TokenKind.DOTDOT,
-    "&&": TokenKind.AMPAMP,
-    "||": TokenKind.PIPEPIPE,
-    "==": TokenKind.EQEQ,
-    "!=": TokenKind.NEQ,
-    "<=": TokenKind.LEQ,
-    ">=": TokenKind.GEQ,
-    "->": TokenKind.ARROW,
-    "=>": TokenKind.FATARROW,
+#: ``EOF`` entries after the last token: the parser looks up to three tokens
+#: past its position, which never moves beyond the first ``EOF``.
+EOF_PADDING = 4
+
+_PUNCTUATION = {
+    kind.value: kind
+    for kind in TokenKind
+    if kind not in (TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT, TokenKind.EOF)
 }
 
-_ONE_CHAR = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "<": TokenKind.LANGLE,
-    ">": TokenKind.RANGLE,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    ":": TokenKind.COLON,
-    ".": TokenKind.DOT,
-    "@": TokenKind.AT,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "^": TokenKind.CARET,
-    "&": TokenKind.AMP,
-    "!": TokenKind.BANG,
-    "=": TokenKind.EQ,
-}
+# Trivia before every token is consumed greedily, and the alternatives after
+# it match any character or the end of the text, so a match never backtracks
+# into a comment or whitespace.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"  # trivia
+    r"(?:([A-Za-z_]\w*)"  # _IDENT
+    r"|([0-9]+\.[0-9]+)"  # _FLOAT
+    r"|([0-9]+)"  # _INT
+    r"|(/\*)"  # _OPEN_COMMENT: a block comment without its `*/`
+    # _PUNCTUATION_GROUP, longest first: two-character operators win
+    r"|(" +"|".join(re.escape(p) for p in sorted(_PUNCTUATION, key=len, reverse=True)) + r")"
+    r"|(\w+)"  # _WORD: starts beyond ASCII; an identifier if that is a letter
+    r"|(.)"  # _OTHER: an unexpected character
+    r"|(\Z))",  # _END
+    re.DOTALL,
+)
+_IDENT, _FLOAT, _INT, _OPEN_COMMENT, _PUNCTUATION_GROUP, _WORD, _OTHER, _END = range(1, 9)
+_LITERAL_KINDS = (None, TokenKind.IDENT, TokenKind.FLOAT, TokenKind.INT)
 
 
-class Lexer:
-    """Turns Descend source text into a token stream."""
+class Tokens(NamedTuple):
+    """One file's tokens as parallel lists, ending in ``EOF_PADDING`` EOFs."""
 
-    def __init__(self, source: SourceFile) -> None:
-        self.source = source
-        self.text = source.text
-        self.pos = 0
-
-    def error(self, message: str, start: int) -> DescendSyntaxError:
-        span = self.source.span(start, max(start + 1, self.pos))
-        return DescendSyntaxError(message, Diagnostic.error("E0000", message, span))
-
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenKind.EOF, "", self.source.span(self.pos, self.pos)))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- helpers -----------------------------------------------------------------
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
-            if char in " \t\r\n":
-                self.pos += 1
-                continue
-            if char == "/" and self.text[self.pos : self.pos + 2] == "//":
-                newline = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if newline == -1 else newline + 1
-                continue
-            if char == "/" and self.text[self.pos : self.pos + 2] == "/*":
-                end = self.text.find("*/", self.pos + 2)
-                if end == -1:
-                    raise self.error("unterminated block comment", self.pos)
-                self.pos = end + 2
-                continue
-            return
-
-    def _next_token(self) -> Token:
-        start = self.pos
-        char = self.text[self.pos]
-
-        if char.isdigit():
-            return self._number(start)
-        if char.isalpha() or char == "_":
-            return self._identifier(start)
-
-        two = self.text[self.pos : self.pos + 2]
-        if two in _TWO_CHAR:
-            # `..` must not eat the dot of a float like `0..4` handled in _number
-            self.pos += 2
-            return Token(_TWO_CHAR[two], two, self.source.span(start, self.pos))
-        if char in _ONE_CHAR:
-            self.pos += 1
-            return Token(_ONE_CHAR[char], char, self.source.span(start, self.pos))
-        raise self.error(f"unexpected character {char!r}", start)
-
-    def _number(self, start: int) -> Token:
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        is_float = False
-        if (
-            self.pos + 1 < len(self.text)
-            and self.text[self.pos] == "."
-            and self.text[self.pos + 1].isdigit()
-        ):
-            is_float = True
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        text = self.text[start : self.pos]
-        kind = TokenKind.FLOAT if is_float else TokenKind.INT
-        return Token(kind, text, self.source.span(start, self.pos))
-
-    def _identifier(self, start: int) -> Token:
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        text = self.text[start : self.pos]
-        return Token(TokenKind.IDENT, text, self.source.span(start, self.pos))
+    kinds: List[TokenKind]
+    texts: List[str]
+    starts: List[int]
+    ends: List[int]
 
 
-def tokenize(text: str, name: str = "<descend>") -> List[Token]:
-    """Tokenize a source string."""
-    return Lexer(SourceFile(text, name)).tokenize()
+def tokenize(text: str, name: str = "<descend>") -> Tokens:
+    """Lex a whole source string; the first lexical error raises."""
+    kinds: List[TokenKind] = []
+    texts: List[str] = []
+    starts: List[int] = []
+    ends: List[int] = []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        start, end = match.span(group)
+        word = text[start:end]
+        if group == _PUNCTUATION_GROUP:
+            kind = _PUNCTUATION[word]
+        elif group <= _INT:
+            kind = _LITERAL_KINDS[group]
+        elif group == _END:
+            break
+        elif group == _WORD and word[0].isalpha():
+            kind = TokenKind.IDENT
+        elif group == _OPEN_COMMENT:
+            raise _error("unterminated block comment", start, name)
+        else:
+            raise _error(f"unexpected character {text[start]!r}", start, name)
+        kinds.append(kind)
+        texts.append(word)
+        starts.append(start)
+        ends.append(end)
+    end = len(text)
+    kinds.extend([TokenKind.EOF] * EOF_PADDING)
+    texts.extend([""] * EOF_PADDING)
+    starts.extend([end] * EOF_PADDING)
+    ends.extend([end] * EOF_PADDING)
+    return Tokens(kinds, texts, starts, ends)
+
+
+def _error(message: str, start: int, name: str) -> DescendSyntaxError:
+    span = Span(start, start + 1, name)
+    return DescendSyntaxError(message, Diagnostic.error("E0000", message, span))

@@ -9,7 +9,7 @@ launches ``f::<<<X<1>, X<n>>>>(...)``, and ``for`` loops over nat ranges.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.descend.ast import terms as T
 from repro.descend.ast.dims import Dim, DimName, dim_from_spec, parse_dim_name
@@ -41,57 +41,76 @@ from repro.descend.ast.types import (
 )
 from repro.descend.ast.views import ViewRef
 from repro.descend.diagnostics import Diagnostic
-from repro.descend.frontend.lexer import Lexer
-from repro.descend.frontend.tokens import Token, TokenKind
+from repro.descend.frontend.lexer import tokenize
+from repro.descend.frontend.tokens import TokenKind
 from repro.descend.nat import Nat, NatBinOp, NatConst, NatVar
 from repro.descend.source import SourceFile, Span
 from repro.errors import DescendSyntaxError
 
 _MEMORY_ROOTS = ("cpu", "gpu")
 _KINDS = {"nat": Kind.NAT, "mem": Kind.MEMORY, "dty": Kind.DATA_TYPE}
+_COMPARISONS = frozenset(("<", ">", "<=", ">=", "==", "!="))
 
 
 class Parser:
-    """Parses a token stream into a Descend program."""
+    """Parses one source file into a Descend program.
+
+    The whole file is lexed up front into parallel lists (see
+    :func:`~repro.descend.frontend.lexer.tokenize`), so a token is its index
+    and a lexical error is reported before any parse error.
+    """
 
     def __init__(self, source: SourceFile) -> None:
-        self.source = source
-        self.tokens = Lexer(source).tokenize()
+        self.name = source.name
+        self.kinds, self.texts, self.starts, self.ends = tokenize(source.text, source.name)
         self.pos = 0
 
     # ------------------------------------------------------------------
     # token helpers
     # ------------------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self, offset: int = 0) -> TokenKind:
+        return self.kinds[self.pos + offset]
 
     def at(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self.peek(offset).kind == kind
+        return self.kinds[self.pos + offset] is kind
 
-    def at_keyword(self, word: str, offset: int = 0) -> bool:
-        return self.peek(offset).is_keyword(word)
+    def at_keyword(self, word: str) -> bool:
+        # Keywords lex as identifiers, and no other token's text is a word.
+        return self.texts[self.pos] == word
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != TokenKind.EOF:
-            self.pos += 1
-        return token
+    def span(self, index: int) -> Span:
+        """The span of the token at ``index``."""
+        return Span(self.starts[index], self.ends[index], self.name)
 
-    def expect(self, kind: TokenKind, context: str = "") -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            hint = f" while parsing {context}" if context else ""
-            raise self.error(f"expected `{kind}`, found `{token.text or token.kind}`{hint}", token.span)
+    def span_from(self, first: int) -> Span:
+        """The span of the tokens consumed since index ``first``."""
+        return Span(self.starts[first], self.ends[self.pos - 1], self.name)
+
+    def advance(self) -> int:
+        """Consume the current token (never past the end); returns its index."""
+        index = self.pos
+        if self.kinds[index] is not TokenKind.EOF:
+            self.pos = index + 1
+        return index
+
+    def expect(self, kind: TokenKind, context: str = "") -> int:
+        if self.kinds[self.pos] is not kind:
+            raise self._expected(f"`{kind}`", context)
         return self.advance()
 
-    def expect_keyword(self, word: str, context: str = "") -> Token:
-        token = self.peek()
-        if not token.is_keyword(word):
-            hint = f" while parsing {context}" if context else ""
-            raise self.error(f"expected `{word}`, found `{token.text or token.kind}`{hint}", token.span)
+    def expect_ident(self, context: str = "") -> str:
+        return self.texts[self.expect(TokenKind.IDENT, context)]
+
+    def expect_keyword(self, word: str, context: str = "") -> int:
+        if self.texts[self.pos] != word:
+            raise self._expected(f"`{word}`", context)
         return self.advance()
+
+    def _expected(self, expected: str, context: str) -> DescendSyntaxError:
+        hint = f" while parsing {context}" if context else ""
+        found = self.texts[self.pos] or self.peek()
+        return self.error(f"expected {expected}, found `{found}`{hint}", self.span(self.pos))
 
     def error(self, message: str, span: Span) -> DescendSyntaxError:
         return DescendSyntaxError(message, Diagnostic.error("E0000", message, span))
@@ -106,19 +125,17 @@ class Parser:
             if self.at_keyword("fn"):
                 fun_defs.append(self.parse_fun_def())
             else:
-                raise self.error(
-                    f"expected `fn`, found `{self.peek().text}`", self.peek().span
-                )
+                raise self.error(f"expected `fn`, found `{self.texts[self.pos]}`", self.span(self.pos))
         return T.Program(tuple(fun_defs))
 
     def parse_fun_def(self) -> T.FunDef:
-        start = self.expect_keyword("fn").span
-        name = self.expect(TokenKind.IDENT, "function name").text
+        start = self.span(self.expect_keyword("fn"))
+        name = self.expect_ident("function name")
         generics = self._parse_generics()
         self.expect(TokenKind.LPAREN, "parameter list")
         params: List[T.FunParam] = []
         while not self.at(TokenKind.RPAREN):
-            param_name = self.expect(TokenKind.IDENT, "parameter").text
+            param_name = self.expect_ident("parameter")
             self.expect(TokenKind.COLON, "parameter type")
             param_ty = self.parse_type()
             params.append(T.FunParam(param_name, param_ty))
@@ -127,7 +144,7 @@ class Parser:
         self.expect(TokenKind.RPAREN)
         self.expect(TokenKind.MINUS, "execution annotation")
         self.expect(TokenKind.LBRACKET, "execution annotation")
-        exec_name = self.expect(TokenKind.IDENT, "execution resource name").text
+        exec_name = self.expect_ident("execution resource name")
         self.expect(TokenKind.COLON, "execution annotation")
         level = self._parse_exec_level()
         self.expect(TokenKind.RBRACKET, "execution annotation")
@@ -150,11 +167,12 @@ class Parser:
             return generics
         self.advance()
         while not self.at(TokenKind.RANGLE):
-            name = self.expect(TokenKind.IDENT, "generic parameter").text
+            name = self.expect_ident("generic parameter")
             self.expect(TokenKind.COLON, "generic parameter kind")
-            kind_name = self.expect(TokenKind.IDENT, "generic parameter kind").text
+            kind_index = self.expect(TokenKind.IDENT, "generic parameter kind")
+            kind_name = self.texts[kind_index]
             if kind_name not in _KINDS:
-                raise self.error(f"unknown kind `{kind_name}`", self.peek().span)
+                raise self.error(f"unknown kind `{kind_name}`", self.span(kind_index))
             generics.append(GenericParam(name, _KINDS[kind_name]))
             if not self.at(TokenKind.RANGLE):
                 self.expect(TokenKind.COMMA, "generic parameters")
@@ -162,14 +180,15 @@ class Parser:
         return generics
 
     def _parse_dotted_name(self) -> str:
-        first = self.expect(TokenKind.IDENT).text
-        if self.at(TokenKind.DOT) and self.peek(1).kind == TokenKind.IDENT:
+        first = self.expect_ident()
+        if self.at(TokenKind.DOT) and self.at(TokenKind.IDENT, 1):
             self.advance()
-            second = self.expect(TokenKind.IDENT).text
+            second = self.expect_ident()
             return f"{first}.{second}"
         return first
 
     def _parse_exec_level(self):
+        first = self.pos
         name = self._parse_dotted_name().lower()
         if name == "cpu.thread":
             return CpuThreadLevel()
@@ -187,10 +206,10 @@ class Parser:
             threads = self._parse_dim()
             self.expect(TokenKind.RANGLE, "block shape")
             return GpuBlockLevel(threads)
-        raise self.error(f"unknown execution level `{name}`", self.peek().span)
+        raise self.error(f"unknown execution level `{name}`", self.span_from(first))
 
     def _parse_dim(self) -> Dim:
-        spec = self.expect(TokenKind.IDENT, "dimension specification").text
+        spec = self.expect_ident("dimension specification")
         self.expect(TokenKind.LANGLE, "dimension sizes")
         sizes: List[Nat] = [self.parse_nat()]
         while self.at(TokenKind.COMMA):
@@ -212,8 +231,8 @@ class Parser:
         return ty
 
     def _parse_type_prefix(self) -> DataType:
-        token = self.peek()
-        if token.kind == TokenKind.AMP:
+        kind = self.peek()
+        if kind is TokenKind.AMP:
             self.advance()
             uniq = False
             if self.at_keyword("uniq"):
@@ -222,9 +241,9 @@ class Parser:
             mem = memory_from_name(self._parse_dotted_name())
             referent = self.parse_type()
             return RefType(uniq, mem, referent)
-        if token.kind == TokenKind.LBRACKET:
+        if kind is TokenKind.LBRACKET:
             return self._parse_array_type()
-        if token.kind == TokenKind.LPAREN:
+        if kind is TokenKind.LPAREN:
             self.advance()
             if self.at(TokenKind.RPAREN):
                 self.advance()
@@ -237,15 +256,16 @@ class Parser:
             if len(elems) == 1:
                 return elems[0]
             return TupleType(tuple(elems))
-        if token.kind == TokenKind.IDENT:
-            name = self.advance().text
+        if kind is TokenKind.IDENT:
+            name = self.texts[self.advance()]
             if is_scalar_name(name):
                 return scalar_from_name(name)
             return TyVar(name)
-        raise self.error(f"expected a type, found `{token.text}`", token.span)
+        raise self.error(f"expected a type, found `{self.texts[self.pos]}`", self.span(self.pos))
 
     def _parse_array_type(self) -> DataType:
         self.expect(TokenKind.LBRACKET)
+        first = self.pos
         inner = self.parse_type()
         if self.at(TokenKind.SEMI):
             self.advance()
@@ -254,13 +274,13 @@ class Parser:
             return ArrayType(inner, size)
         if self.at(TokenKind.RBRACKET):
             # `[[T; n]]`: view type written as a doubly bracketed array
+            if not isinstance(inner, (ArrayType, ArrayViewType)):
+                raise self.error("`[[...]]` must contain an array type", self.span_from(first))
             self.advance()
             if isinstance(inner, ArrayType):
                 return ArrayViewType(inner.elem, inner.size)
-            if isinstance(inner, ArrayViewType):
-                return inner
-            raise self.error("`[[...]]` must contain an array type", self.peek().span)
-        raise self.error("expected `;` or `]` in array type", self.peek().span)
+            return inner
+        raise self.error("expected `;` or `]` in array type", self.span(self.pos))
 
     def parse_nat(self) -> Nat:
         return self._parse_nat_additive()
@@ -268,7 +288,7 @@ class Parser:
     def _parse_nat_additive(self) -> Nat:
         left = self._parse_nat_multiplicative()
         while self.at(TokenKind.PLUS) or self.at(TokenKind.MINUS):
-            op = self.advance().text
+            op = self.texts[self.advance()]
             right = self._parse_nat_multiplicative()
             left = NatBinOp(op, left, right)
         return left
@@ -276,7 +296,7 @@ class Parser:
     def _parse_nat_multiplicative(self) -> Nat:
         left = self._parse_nat_power()
         while self.at(TokenKind.STAR) or self.at(TokenKind.SLASH) or self.at(TokenKind.PERCENT):
-            op = self.advance().text
+            op = self.texts[self.advance()]
             right = self._parse_nat_power()
             left = NatBinOp(op, left, right)
         return left
@@ -290,26 +310,27 @@ class Parser:
         return left
 
     def _parse_nat_atom(self) -> Nat:
-        token = self.peek()
-        if token.kind == TokenKind.INT:
+        index = self.pos
+        kind = self.kinds[index]
+        if kind is TokenKind.INT:
             self.advance()
-            return NatConst(int(token.text))
-        if token.kind == TokenKind.IDENT:
+            return NatConst(int(self.texts[index]))
+        if kind is TokenKind.IDENT:
             self.advance()
-            return NatVar(token.text)
-        if token.kind == TokenKind.LPAREN:
+            return NatVar(self.texts[index])
+        if kind is TokenKind.LPAREN:
             self.advance()
             nat = self.parse_nat()
             self.expect(TokenKind.RPAREN, "nat expression")
             return nat
-        raise self.error(f"expected a natural number, found `{token.text}`", token.span)
+        raise self.error(f"expected a natural number, found `{self.texts[index]}`", self.span(index))
 
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
 
     def parse_block(self) -> T.Block:
-        start = self.expect(TokenKind.LBRACE, "block").span
+        start = self.span(self.expect(TokenKind.LBRACE, "block"))
         stmts: List[T.Term] = []
         while not self.at(TokenKind.RBRACE):
             stmts.append(self.parse_stmt())
@@ -319,34 +340,34 @@ class Parser:
         return T.Block(tuple(stmts), span=start)
 
     def parse_stmt(self) -> T.Term:
-        token = self.peek()
-        if token.is_keyword("let"):
+        index = self.pos
+        word = self.texts[index]
+        if word == "let":
             return self._parse_let()
-        if token.is_keyword("for"):
+        if word == "for":
             return self._parse_for()
-        if token.is_keyword("if"):
+        if word == "if":
             return self._parse_if()
-        if token.is_keyword("sched"):
+        if word == "sched":
             return self._parse_sched()
-        if token.is_keyword("split"):
+        if word == "split":
             return self._parse_split()
-        if token.is_keyword("sync"):
-            span = self.advance().span
-            return T.Sync(span=span)
-        if token.kind == TokenKind.LBRACE:
+        if word == "sync":
+            return T.Sync(span=self.span(self.advance()))
+        if self.kinds[index] is TokenKind.LBRACE:
             return self.parse_block()
         expr = self.parse_expr()
         if self.at(TokenKind.EQ):
             eq = self.advance()
             if not isinstance(expr, T.PlaceTerm):
-                raise self.error("left-hand side of assignment must be a place expression", eq.span)
+                raise self.error("left-hand side of assignment must be a place expression", self.span(eq))
             value = self.parse_expr()
-            return T.Assign(expr.place, value, span=token.span)
+            return T.Assign(expr.place, value, span=self.span(index))
         return expr
 
     def _parse_let(self) -> T.Term:
-        start = self.expect_keyword("let").span
-        name = self.expect(TokenKind.IDENT, "let binding").text
+        start = self.span(self.expect_keyword("let"))
+        name = self.expect_ident("let binding")
         ty: Optional[DataType] = None
         if self.at(TokenKind.COLON):
             self.advance()
@@ -356,8 +377,8 @@ class Parser:
         return T.LetTerm(name, ty, init, span=start)
 
     def _parse_for(self) -> T.Term:
-        start = self.expect_keyword("for").span
-        variable = self.expect(TokenKind.IDENT, "loop variable").text
+        start = self.span(self.expect_keyword("for"))
+        variable = self.expect_ident("loop variable")
         self.expect_keyword("in", "for loop")
         if self.at(TokenKind.LBRACKET):
             self.advance()
@@ -372,7 +393,7 @@ class Parser:
         return T.ForEach(variable, collection, body, span=start)
 
     def _parse_if(self) -> T.Term:
-        start = self.expect_keyword("if").span
+        start = self.span(self.expect_keyword("if"))
         cond = self.parse_expr()
         then = self.parse_block()
         otherwise = None
@@ -382,33 +403,33 @@ class Parser:
         return T.IfTerm(cond, then, otherwise, span=start)
 
     def _parse_sched(self) -> T.Term:
-        start = self.expect_keyword("sched").span
+        start = self.span(self.expect_keyword("sched"))
         self.expect(TokenKind.LPAREN, "sched dimensions")
-        dims: List[DimName] = [parse_dim_name(self.expect(TokenKind.IDENT).text)]
+        dims: List[DimName] = [parse_dim_name(self.expect_ident())]
         while self.at(TokenKind.COMMA):
             self.advance()
-            dims.append(parse_dim_name(self.expect(TokenKind.IDENT).text))
+            dims.append(parse_dim_name(self.expect_ident()))
         self.expect(TokenKind.RPAREN, "sched dimensions")
-        binder = self.expect(TokenKind.IDENT, "sched binder").text
+        binder = self.expect_ident("sched binder")
         self.expect_keyword("in", "sched")
-        exec_name = self.expect(TokenKind.IDENT, "sched execution resource").text
+        exec_name = self.expect_ident("sched execution resource")
         body = self.parse_block()
         return T.Sched(tuple(dims), binder, exec_name, body, span=start)
 
     def _parse_split(self) -> T.Term:
-        start = self.expect_keyword("split").span
+        start = self.span(self.expect_keyword("split"))
         self.expect(TokenKind.LPAREN, "split dimension")
-        dim = parse_dim_name(self.expect(TokenKind.IDENT).text)
+        dim = parse_dim_name(self.expect_ident())
         self.expect(TokenKind.RPAREN, "split dimension")
-        exec_name = self.expect(TokenKind.IDENT, "split execution resource").text
+        exec_name = self.expect_ident("split execution resource")
         self.expect_keyword("at", "split position")
         pos = self.parse_nat()
         self.expect(TokenKind.LBRACE, "split branches")
-        first_binder = self.expect(TokenKind.IDENT, "split branch").text
+        first_binder = self.expect_ident("split branch")
         self.expect(TokenKind.FATARROW, "split branch")
         first_body = self.parse_block()
         self.expect(TokenKind.COMMA, "split branches")
-        second_binder = self.expect(TokenKind.IDENT, "split branch").text
+        second_binder = self.expect_ident("split branch")
         self.expect(TokenKind.FATARROW, "split branch")
         second_body = self.parse_block()
         if self.at(TokenKind.COMMA):
@@ -428,31 +449,22 @@ class Parser:
     def _parse_or(self) -> T.Term:
         left = self._parse_and()
         while self.at(TokenKind.PIPEPIPE):
-            span = self.advance().span
+            span = self.span(self.advance())
             left = T.BinaryOp("||", left, self._parse_and(), span=span)
         return left
 
     def _parse_and(self) -> T.Term:
         left = self._parse_comparison()
         while self.at(TokenKind.AMPAMP):
-            span = self.advance().span
+            span = self.span(self.advance())
             left = T.BinaryOp("&&", left, self._parse_comparison(), span=span)
         return left
 
-    _COMPARISONS = {
-        TokenKind.LANGLE: "<",
-        TokenKind.RANGLE: ">",
-        TokenKind.LEQ: "<=",
-        TokenKind.GEQ: ">=",
-        TokenKind.EQEQ: "==",
-        TokenKind.NEQ: "!=",
-    }
-
     def _parse_comparison(self) -> T.Term:
         left = self._parse_additive()
-        if self.peek().kind in self._COMPARISONS:
-            op = self._COMPARISONS[self.peek().kind]
-            span = self.advance().span
+        op = self.texts[self.pos]
+        if op in _COMPARISONS:
+            span = self.span(self.advance())
             return T.BinaryOp(op, left, self._parse_additive(), span=span)
         return left
 
@@ -460,72 +472,77 @@ class Parser:
         left = self._parse_multiplicative()
         while self.at(TokenKind.PLUS) or self.at(TokenKind.MINUS):
             op = self.advance()
-            left = T.BinaryOp(op.text, left, self._parse_multiplicative(), span=op.span)
+            left = T.BinaryOp(self.texts[op], left, self._parse_multiplicative(), span=self.span(op))
         return left
 
     def _parse_multiplicative(self) -> T.Term:
         left = self._parse_unary()
         while self.at(TokenKind.STAR) or self.at(TokenKind.SLASH) or self.at(TokenKind.PERCENT):
             op = self.advance()
-            left = T.BinaryOp(op.text, left, self._parse_unary(), span=op.span)
+            left = T.BinaryOp(self.texts[op], left, self._parse_unary(), span=self.span(op))
         return left
 
     def _parse_unary(self) -> T.Term:
-        token = self.peek()
-        if token.kind == TokenKind.MINUS:
+        index = self.pos
+        kind = self.kinds[index]
+        if kind is TokenKind.MINUS:
             self.advance()
-            return T.UnaryOp("-", self._parse_unary(), span=token.span)
-        if token.kind == TokenKind.BANG:
+            return T.UnaryOp("-", self._parse_unary(), span=self.span(index))
+        if kind is TokenKind.BANG:
             self.advance()
-            return T.UnaryOp("!", self._parse_unary(), span=token.span)
-        if token.kind == TokenKind.AMP:
+            return T.UnaryOp("!", self._parse_unary(), span=self.span(index))
+        if kind is TokenKind.AMP:
             self.advance()
             uniq = False
             if self.at_keyword("uniq"):
                 self.advance()
                 uniq = True
-            place = self._expect_place(self._parse_unary())
-            return T.Borrow(uniq, place, span=token.span)
-        if token.kind == TokenKind.STAR:
+            place = self._parse_place_operand()
+            return T.Borrow(uniq, place, span=self.span(index))
+        if kind is TokenKind.STAR:
             self.advance()
-            inner = self._parse_unary()
-            place = self._expect_place(inner)
-            deref = PDeref(place, span=token.span)
-            return T.PlaceTerm(self._parse_place_suffixes(deref), span=token.span)
+            place = self._parse_place_operand()
+            span = self.span(index)
+            deref = PDeref(place, span=span)
+            return T.PlaceTerm(self._parse_place_suffixes(deref), span=span)
         return self._parse_postfix()
 
-    def _expect_place(self, term: T.Term) -> PlaceExpr:
+    def _parse_place_operand(self) -> PlaceExpr:
+        first = self.pos
+        term = self._parse_unary()
         if isinstance(term, T.PlaceTerm):
             return term.place
-        raise self.error("expected a place expression", self.peek().span)
+        raise self.error("expected a place expression", self.span_from(first))
 
     def _parse_postfix(self) -> T.Term:
-        token = self.peek()
-        if token.kind == TokenKind.INT:
+        index = self.pos
+        kind = self.kinds[index]
+        word = self.texts[index]
+        if kind is TokenKind.INT:
             self.advance()
-            return T.Lit(int(token.text), I32, span=token.span)
-        if token.kind == TokenKind.FLOAT:
+            return T.Lit(int(word), I32, span=self.span(index))
+        if kind is TokenKind.FLOAT:
             self.advance()
-            return T.Lit(float(token.text), F64, span=token.span)
-        if token.is_keyword("true"):
+            return T.Lit(float(word), F64, span=self.span(index))
+        if word == "true":
             self.advance()
-            return T.Lit(True, BOOL, span=token.span)
-        if token.is_keyword("false"):
+            return T.Lit(True, BOOL, span=self.span(index))
+        if word == "false":
             self.advance()
-            return T.Lit(False, BOOL, span=token.span)
-        if token.kind == TokenKind.LPAREN:
+            return T.Lit(False, BOOL, span=self.span(index))
+        if kind is TokenKind.LPAREN:
             self.advance()
             expr = self.parse_expr()
             self.expect(TokenKind.RPAREN, "parenthesised expression")
             return expr
-        if token.is_keyword("alloc"):
+        if word == "alloc":
             return self._parse_alloc()
-        if token.kind == TokenKind.IDENT:
+        if kind is TokenKind.IDENT:
             return self._parse_name_expression()
-        raise self.error(f"unexpected token `{token.text}` in expression", token.span)
+        raise self.error(f"unexpected token `{word}` in expression", self.span(index))
 
     def _parse_alloc(self) -> T.Term:
-        start = self.expect_keyword("alloc").span
+        start = self.span(self.expect_keyword("alloc"))
         self.expect(TokenKind.COLONCOLON, "alloc")
         self.expect(TokenKind.LANGLE, "alloc")
         mem = memory_from_name(self._parse_dotted_name())
@@ -537,29 +554,25 @@ class Parser:
         return T.Alloc(mem, ty, span=start)
 
     def _parse_name_expression(self) -> T.Term:
-        start = self.peek().span
-        name = self.expect(TokenKind.IDENT).text
+        start = self.span(self.pos)
+        name = self.expect_ident()
 
         # multi-segment function names such as `CpuHeap::new`
-        while self.at(TokenKind.COLONCOLON) and self.peek(1).kind == TokenKind.IDENT:
+        while self.at(TokenKind.COLONCOLON) and self.at(TokenKind.IDENT, 1):
             self.advance()
-            name += "::" + self.expect(TokenKind.IDENT).text
+            name += "::" + self.expect_ident()
 
         nat_args: Tuple[Nat, ...] = ()
         mem_args: tuple = ()
         ty_args: tuple = ()
         if self.at(TokenKind.COLONCOLON):
             # `::<...>` generic arguments or `::<<<...>>>` launch
-            if (
-                self.peek(1).kind == TokenKind.LANGLE
-                and self.peek(2).kind == TokenKind.LANGLE
-                and self.peek(3).kind == TokenKind.LANGLE
-            ):
+            if self.at(TokenKind.LANGLE, 1) and self.at(TokenKind.LANGLE, 2) and self.at(TokenKind.LANGLE, 3):
                 self.advance()
                 return self._parse_launch(name, nat_args, start)
             self.advance()
             nat_args, mem_args, ty_args = self._parse_generic_args()
-            if self.at(TokenKind.LANGLE) and self.peek(1).kind == TokenKind.LANGLE and self.peek(2).kind == TokenKind.LANGLE:
+            if self.at(TokenKind.LANGLE) and self.at(TokenKind.LANGLE, 1) and self.at(TokenKind.LANGLE, 2):
                 return self._parse_launch(name, nat_args, start)
 
         if self.at(TokenKind.LPAREN):
@@ -584,11 +597,12 @@ class Parser:
         mem_args: List = []
         ty_args: List = []
         while not self.at(TokenKind.RANGLE):
-            token = self.peek()
-            if token.kind == TokenKind.IDENT and token.text in _MEMORY_ROOTS and self.peek(1).kind == TokenKind.DOT:
+            kind = self.peek()
+            word = self.texts[self.pos]
+            if kind is TokenKind.IDENT and word in _MEMORY_ROOTS and self.at(TokenKind.DOT, 1):
                 mem_args.append(memory_from_name(self._parse_dotted_name()))
-            elif token.kind in (TokenKind.LBRACKET, TokenKind.AMP) or (
-                token.kind == TokenKind.IDENT and is_scalar_name(token.text)
+            elif kind is TokenKind.LBRACKET or kind is TokenKind.AMP or (
+                kind is TokenKind.IDENT and is_scalar_name(word)
             ):
                 ty_args.append(self.parse_type())
             else:
@@ -622,10 +636,10 @@ class Parser:
                 place = self._parse_dot_suffix(place)
                 continue
             if self.at(TokenKind.LBRACKET):
-                if self.peek(1).kind == TokenKind.LBRACKET:
+                if self.at(TokenKind.LBRACKET, 1):
                     self.advance()
                     self.advance()
-                    exec_var = self.expect(TokenKind.IDENT, "select").text
+                    exec_var = self.expect_ident("select")
                     self.expect(TokenKind.RBRACKET, "select")
                     self.expect(TokenKind.RBRACKET, "select")
                     place = PSelect(place, exec_var)
@@ -639,7 +653,7 @@ class Parser:
 
     def _parse_dot_suffix(self, place: PlaceExpr) -> PlaceExpr:
         self.expect(TokenKind.DOT)
-        name = self.expect(TokenKind.IDENT, "view or projection").text
+        name = self.expect_ident("view or projection")
         if name == "fst":
             return PProj(place, 0)
         if name == "snd":
@@ -664,7 +678,7 @@ class Parser:
         return PView(place, ViewRef(name, tuple(nat_args), tuple(view_args)))
 
     def _parse_view_ref(self) -> ViewRef:
-        name = self.expect(TokenKind.IDENT, "view").text
+        name = self.expect_ident("view")
         nat_args: List[Nat] = []
         view_args: List[ViewRef] = []
         if self.at(TokenKind.COLONCOLON):
@@ -685,6 +699,12 @@ class Parser:
         return ViewRef(name, tuple(nat_args), tuple(view_args))
 
 
-def parse_program(text: str, name: str = "<descend>") -> T.Program:
-    """Parse Descend source text into a program AST."""
-    return Parser(SourceFile(text, name)).parse_program()
+def parse_program(source: Union[str, SourceFile], name: str = "<descend>") -> T.Program:
+    """Parse Descend source into a program AST.
+
+    ``source`` is the text of a file called ``name``, or a :class:`SourceFile`
+    that the caller also hands to the type checker.
+    """
+    if isinstance(source, str):
+        source = SourceFile(source, name)
+    return Parser(source).parse_program()

@@ -1,15 +1,15 @@
-"""Token definitions for the Descend lexer."""
+"""Token kinds of the Descend lexer."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from repro.descend.source import Span
 
 
 class TokenKind(enum.Enum):
-    """Kinds of tokens produced by the lexer."""
+    """Kinds of tokens produced by the lexer.
+
+    Keywords lex as ``IDENT``; the parser recognises them by their text.
+    """
 
     IDENT = "identifier"
     INT = "integer"
@@ -52,42 +52,3 @@ class TokenKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-#: Words with special meaning; they still lex as IDENT and are recognised by
-#: the parser, except for the ones that start statements.
-KEYWORDS = frozenset(
-    {
-        "fn",
-        "let",
-        "for",
-        "in",
-        "if",
-        "else",
-        "sched",
-        "split",
-        "at",
-        "sync",
-        "uniq",
-        "view",
-        "where",
-        "true",
-        "false",
-        "alloc",
-    }
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    """One lexed token."""
-
-    kind: TokenKind
-    text: str
-    span: Span
-
-    def is_keyword(self, word: str) -> bool:
-        return self.kind == TokenKind.IDENT and self.text == word
-
-    def __str__(self) -> str:
-        return f"{self.kind.name}({self.text!r})"

@@ -10,6 +10,7 @@ Programs built programmatically via :mod:`repro.descend.builder` use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 
@@ -43,17 +44,20 @@ NO_SPAN = Span()
 
 
 class SourceFile:
-    """A named piece of Descend source text with line/column lookup."""
+    """A named piece of Descend source text with line/column lookup.
+
+    Only rendering a diagnostic looks up lines, so the line table is built on
+    the first :meth:`line_col` or :meth:`line_text` call.
+    """
 
     def __init__(self, text: str, name: str = "<descend>"):
         self.text = text
         self.name = name
-        self._line_starts = self._compute_line_starts(text)
 
-    @staticmethod
-    def _compute_line_starts(text: str) -> List[int]:
+    @cached_property
+    def _line_starts(self) -> List[int]:
         starts = [0]
-        starts.extend(index + 1 for index, char in enumerate(text) if char == "\n")
+        starts.extend(index + 1 for index, char in enumerate(self.text) if char == "\n")
         return starts
 
     def span(self, start: int, end: int) -> Span:

@@ -140,6 +140,36 @@ def test_syntax_error_is_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+#: Files the lexer rejects: a stray character, Unicode digits (`²` is
+#: str.isdigit() but no digit of the language) and an unclosed comment.
+LEXICAL_ERRORS = {
+    "dollar": "fn f() -[t: cpu.thread]-> () { let x = $; }\n",
+    "superscript": "fn f() -[t: cpu.thread]-> () {\n    let x = \u00b2;\n}\n",
+    "arabic-digit": "fn f() -[t: cpu.thread]-> () { let x = 1\u0661; }\n",
+    "open-comment": "fn f() -[t: cpu.thread]-> () { /* never closed }\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXICAL_ERRORS))
+def test_lexical_errors_exit_3_without_a_traceback(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.descend"
+    path.write_text(LEXICAL_ERRORS[name], encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error[E0000]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(LEXICAL_ERRORS))
+def test_backend_reports_lexical_errors_as_syntax_errors(name):
+    from repro.descend.api import ERR_SYNTAX, OP_CHECK, LocalBackend, Request
+
+    response = LocalBackend(label="lexical").handle(
+        Request(op=OP_CHECK, source=LEXICAL_ERRORS[name], name=f"{name}.descend")
+    )
+    assert response.error_code == ERR_SYNTAX
+    assert response.diagnostics[0].startswith("error[E0000]")
+
+
 def test_bench_quick_writes_report(tmp_path, capsys):
     import json
 
